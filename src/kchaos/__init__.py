@@ -77,8 +77,6 @@ from .sweeps import (
     SweepConfig,
     SweepRecord,
     UniformFamily,
-    default_hz_grid,
-    default_k_grid,
     derive_seed,
     extract_eta_curve,
     postprocess_normalize,
@@ -87,71 +85,3 @@ from .sweeps import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "DegenerateSpectrumError",
-    "NumericalError",
-    "OrthogonalityLossError",
-    "Hamiltonian",
-    "ParityBasis",
-    "SpectralData",
-    "build_banded_random",
-    "build_goe",
-    "build_ising_full",
-    "eigendecompose",
-    "hamiltonian_from_matrix",
-    "parity_basis",
-    "project_to_sector",
-    "ComplexityCurve",
-    "LanczosResult",
-    "SaturationReport",
-    "complexity_curve",
-    "complexity_values",
-    "default_time_grid",
-    "krylov_amplitudes",
-    "lanczos_full_orth",
-    "saturation",
-    "tight_binding_propagate",
-    "time_average_complexity",
-    "MEAN_R_GOE",
-    "MEAN_R_POISSON",
-    "DispersionConfig",
-    "EtaCurve",
-    "eta",
-    "normalize_to_eta",
-    "r_ratio_mean",
-    "sigma_log",
-    "sigma_moving",
-    "spearman_rank_correlation",
-    "BoundSweep",
-    "ScalingReport",
-    "bound_rhs",
-    "overlap_scaling_check",
-    "run_bound_sweep",
-    "GaussianProfile",
-    "StateVector",
-    "UniformComplement",
-    "energy_coefficients",
-    "select_center_states",
-    "state_all_up",
-    "state_eigenstate",
-    "state_perturbed",
-    "state_random",
-    "state_uniform_eigenbasis",
-    "AllUpFamily",
-    "BorderFamily",
-    "EigenstatesFamily",
-    "FamilyStats",
-    "RandomFamily",
-    "SweepConfig",
-    "SweepRecord",
-    "UniformFamily",
-    "default_hz_grid",
-    "default_k_grid",
-    "derive_seed",
-    "extract_eta_curve",
-    "postprocess_normalize",
-    "run_banded_sweep",
-    "run_ising_sweep",
-]

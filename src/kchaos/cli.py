@@ -15,17 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .hamiltonians import (
-    build_banded_random,
-    build_goe,
-    build_ising_full,
-    eigendecompose,
-    parity_basis,
-    project_to_sector,
-)
+from .hamiltonians import build_goe, eigendecompose, parity_basis
 from .io import (
+    CONFIG_KEYS,
     build_sweep_config,
     config_summary,
+    parse_bool,
+    parse_floats,
     read_config_pairs,
     render_line_chart,
     render_svg,
@@ -42,7 +38,13 @@ from .states import (
     state_random,
     state_uniform_eigenbasis,
 )
-from .sweeps import postprocess_normalize, run_banded_sweep, run_ising_sweep
+from .sweeps import (
+    banded_hamiltonian,
+    ising_hamiltonian,
+    postprocess_normalize,
+    run_banded_sweep,
+    run_ising_sweep,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,56 +58,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="kchaos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", type=Path, help="flat key=value config file")
+    files = _Parser(add_help=False)
+    files.add_argument("--config", type=Path, help="flat key=value config file")
+    files.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    common = _Parser(add_help=False, parents=[files])
     common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
-    sweep_common = _Parser(add_help=False, parents=[common])
-    sweep_common.add_argument("--threads", type=int, help="worker threads over grid points")
-    sweep_common.add_argument("--families", help="comma list of state families")
-    sweep_common.add_argument("--random-count", type=int)
-    sweep_common.add_argument("--eigen-count", type=int)
-    sweep_common.add_argument("--w-frac", type=float, help="dispersion window fraction")
-    sweep_common.add_argument("--n0-frac", type=float, help="dispersion start fraction")
-    sweep_common.add_argument("--allow-degenerate", action="store_true", default=None)
-
-    p = sub.add_parser("ising-sweep", parents=[sweep_common], help="spin-chain h_z sweep")
-    p.add_argument("--n-spins", type=int)
-    p.add_argument("--n-eta", type=int)
-    p.add_argument("--hz-min", type=float)
-    p.add_argument("--hz-max", type=float)
-    p.add_argument("--hz-points", type=int)
-    p.set_defaults(func=_cmd_ising_sweep)
-
-    p = sub.add_parser("banded-sweep", parents=[sweep_common], help="banded-model k sweep")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--bandwidth-frac", type=float)
-    p.add_argument("--k-min", type=float)
-    p.add_argument("--k-max", type=float)
-    p.add_argument("--k-points", type=int)
-    p.add_argument("--realizations", type=int)
-    p.set_defaults(func=_cmd_banded_sweep)
+    for model, what in (("ising", "spin-chain h_z sweep"), ("banded", "banded-model k sweep")):
+        p = sub.add_parser(f"{model}-sweep", parents=[files], help=what)
+        for key, spec in CONFIG_KEYS.items():
+            flag = spec.flag_for(model)
+            if flag is None:
+                continue
+            kind = {"action": "store_true"} if spec.parse is parse_bool else {"type": spec.parse}
+            p.add_argument(flag, dest=key, default=None, help=spec.help, **kind)
+        p.set_defaults(func=_cmd_sweep, sweep_model=model)
 
     p = sub.add_parser(
         "bound-sweep", parents=[common], help="saturation of perturbed eigenstates vs the bound"
     )
-    p.add_argument("--model", choices=("ising", "banded"), required=True)
-    p.add_argument("--n-spins", type=int, default=9)
-    p.add_argument("--sector", choices=("even", "odd"), default="even")
-    p.add_argument("--hz", type=float, default=4.0)
-    p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--bandwidth-frac", type=float, default=0.2)
-    p.add_argument("--k", type=float, default=0.125)
+    _add_model_flags(p, ("ising", "banded"), n_spins=9, hz=4.0, k=0.125)
     p.add_argument("--j", type=int, default=10, help="anchored eigenstate index")
-    p.add_argument("--profile", choices=("gaussian", "uniform"), default="uniform")
-    p.add_argument("--center", type=float, default=61.0, help="gaussian profile center")
-    p.add_argument("--sigma", type=float, default=10.0, help="gaussian profile width")
+    _add_profile_flags(p, center=61.0, deltas=(0.01, 0.5, 12))
     p.add_argument("--deltas", help="explicit comma-separated delta grid")
-    p.add_argument("--delta-min", type=float, default=0.01)
-    p.add_argument("--delta-max", type=float, default=0.5)
-    p.add_argument("--delta-points", type=int, default=12)
-    p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(func=_cmd_bound_sweep)
 
     p = sub.add_parser(
@@ -113,107 +88,75 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--j", type=int, help="anchored eigenstate index (default dim//2)")
-    p.add_argument("--profile", choices=("gaussian", "uniform"), default="uniform")
-    p.add_argument("--center", type=float)
-    p.add_argument("--sigma", type=float, default=10.0)
-    p.add_argument("--delta-min", type=float, default=0.005)
-    p.add_argument("--delta-max", type=float, default=0.05)
-    p.add_argument("--delta-points", type=int, default=6)
+    _add_profile_flags(p, center=None, deltas=(0.005, 0.05, 6))
     p.set_defaults(func=_cmd_scaling_check)
 
     p = sub.add_parser(
         "single-run", parents=[common], help="one (model, state) complexity curve"
     )
-    p.add_argument("--model", choices=("ising", "banded", "goe"), required=True)
-    p.add_argument("--n-spins", type=int, default=10)
-    p.add_argument("--sector", choices=("even", "odd"), default="even")
-    p.add_argument("--hz", type=float, default=1.02)
-    p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--bandwidth-frac", type=float, default=0.2)
-    p.add_argument("--k", type=float, default=1.0)
+    _add_model_flags(p, ("ising", "banded", "goe"), n_spins=10, hz=1.02, k=1.0)
     p.add_argument("--state", choices=("all_up", "uniform", "random"), default=None)
     p.add_argument("--state-seed", type=int, default=1)
     p.add_argument("--t-points", type=int, default=400)
     p.add_argument("--w-frac", type=float, default=0.025)
     p.add_argument("--n0-frac", type=float, default=0.1)
-    p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(func=_cmd_single_run)
 
     return parser
 
 
-def _merge_pairs(args, model: str, mapping: dict[str, str]) -> dict[str, str]:
-    """Config-file pairs overlaid with any CLI flags that were given."""
+def _add_model_flags(p, models: tuple[str, ...], n_spins: int, hz: float, k: float) -> None:
+    """The flags ``_model_from_args`` reads."""
+    p.add_argument("--model", choices=models, required=True)
+    p.add_argument("--n-spins", type=int, default=n_spins)
+    p.add_argument("--sector", choices=("even", "odd"), default="even")
+    p.add_argument("--hz", type=float, default=hz)
+    p.add_argument("--dim", type=int, default=256)
+    p.add_argument("--bandwidth-frac", type=float, default=0.2)
+    p.add_argument("--k", type=float, default=k)
+    p.add_argument("--allow-degenerate", action="store_true")
+
+
+def _add_profile_flags(p, center: float | None, deltas: tuple[float, float, int]) -> None:
+    """The flags ``_profile_from_args`` reads, and the delta grid."""
+    p.add_argument("--profile", choices=("gaussian", "uniform"), default="uniform")
+    p.add_argument("--center", type=float, default=center, help="gaussian profile center")
+    p.add_argument("--sigma", type=float, default=10.0, help="gaussian profile width")
+    p.add_argument("--delta-min", type=float, default=deltas[0])
+    p.add_argument("--delta-max", type=float, default=deltas[1])
+    p.add_argument("--delta-points", type=int, default=deltas[2])
+
+
+_SWEEP_CHARTS = (
+    ("saturation", "cbar_norm", "complexity saturation vs chaos parameter"),
+    ("dispersion", "inv_sigma_b_norm", "normalized inverse dispersion of b vs chaos parameter"),
+)
+
+
+def _cmd_sweep(args) -> None:
+    """Config-file pairs overlaid with the flags given, swept and written out."""
+    model = args.sweep_model
     pairs = read_config_pairs(args.config) if args.config else {}
     pairs["model"] = model
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             pairs[key] = str(value).lower() if isinstance(value, bool) else str(value)
-    return pairs
-
-
-_SWEEP_FLAG_MAP = {
-    "seed": "seed",
-    "threads": "threads",
-    "families": "families",
-    "random_count": "random_count",
-    "eigen_count": "eigen_count",
-    "w_frac": "w_frac",
-    "n0_frac": "n0_frac",
-    "allow_degenerate": "allow_degenerate",
-}
-
-
-def _run_sweep(args, model: str, extra_map: dict[str, str], runner, stem: str) -> None:
-    pairs = _merge_pairs(args, model, {**_SWEEP_FLAG_MAP, **extra_map})
     cfg = build_sweep_config(pairs)
-    records = runner(cfg)
+    records = (run_ising_sweep if model == "ising" else run_banded_sweep)(cfg)
     if len(records) >= 2:
         records = postprocess_normalize(records)
+    stem = f"{model}_sweep"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
-    write_csv(records, csv_path, family_labels=[f.label for f in cfg.families])
+    labels = [f.label for f in cfg.families]
+    write_csv(records, csv_path, family_labels=labels)
     (out / f"{stem}.meta.txt").write_text(config_summary(cfg), newline="\n")
-    if records:
-        labels = [f.label for f in cfg.families]
-        render_svg(
-            records,
-            ["eta"] + [f"{lab}_cbar_norm" for lab in labels],
-            out / f"{stem}_saturation.svg",
-            title="complexity saturation vs chaos parameter",
-        )
-        render_svg(
-            records,
-            ["eta"] + [f"{lab}_inv_sigma_b_norm" for lab in labels],
-            out / f"{stem}_dispersion.svg",
-            title="normalized inverse dispersion of b vs chaos parameter",
-        )
+    for chart, column, title in _SWEEP_CHARTS if records else ():
+        columns = ["eta"] + [f"{lab}_{column}" for lab in labels]
+        render_svg(records, columns, out / f"{stem}_{chart}.svg", title=title)
     print(f"{stem}: {len(records)} grid points -> {csv_path}")
-
-
-def _cmd_ising_sweep(args) -> None:
-    extra = {
-        "n_spins": "n_spins",
-        "n_eta": "n_eta",
-        "hz_min": "param_min",
-        "hz_max": "param_max",
-        "hz_points": "param_points",
-    }
-    _run_sweep(args, "ising", extra, run_ising_sweep, "ising_sweep")
-
-
-def _cmd_banded_sweep(args) -> None:
-    extra = {
-        "dim": "dim",
-        "bandwidth_frac": "bandwidth_frac",
-        "k_min": "param_min",
-        "k_max": "param_max",
-        "k_points": "param_points",
-        "realizations": "realizations",
-    }
-    _run_sweep(args, "banded", extra, run_banded_sweep, "banded_sweep")
 
 
 def _profile_from_args(args):
@@ -224,23 +167,22 @@ def _profile_from_args(args):
     return UniformComplement()
 
 
-def _bound_model(args):
+def _model_from_args(args):
+    """The Hamiltonian named by the model flags, and its tag for titles."""
+    seed = args.seed or 0
     if args.model == "ising":
-        ham = project_to_sector(
-            build_ising_full(args.n_spins, args.hz), parity_basis(args.n_spins, args.sector)
-        )
-        tag = f"ising N={args.n_spins} {args.sector} hz={args.hz:g}"
-    else:
-        bandwidth = max(1, min(args.dim - 1, round(args.bandwidth_frac * args.dim)))
-        ham = build_banded_random(args.dim, bandwidth, args.k, args.seed or 0)
-        tag = f"banded D={args.dim} b={bandwidth} k={args.k:g}"
-    return ham, tag
+        ham = ising_hamiltonian(args.n_spins, args.hz, args.sector)
+        return ham, f"ising N={args.n_spins} {args.sector} hz={args.hz:g}"
+    if args.model == "banded":
+        ham = banded_hamiltonian(args.dim, args.bandwidth_frac, args.k, seed)
+        return ham, f"banded D={args.dim} b={ham.meta['bandwidth']} k={args.k:g}"
+    return build_goe(args.dim, seed), f"goe D={args.dim}"
 
 
 def _cmd_bound_sweep(args) -> None:
-    ham, tag = _bound_model(args)
+    ham, tag = _model_from_args(args)
     if args.deltas:
-        deltas = np.array([float(tok) for tok in args.deltas.split(",") if tok.strip()])
+        deltas = parse_floats(args.deltas)
     else:
         deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_points)
     sweep = run_bound_sweep(
@@ -267,15 +209,8 @@ def _cmd_bound_sweep(args) -> None:
 def _cmd_scaling_check(args) -> None:
     ham = build_goe(args.dim, args.seed or 0)
     j = args.j if args.j is not None else args.dim // 2
-    if args.profile == "gaussian" and args.center is None:
-        raise ConfigError("--profile gaussian requires --center")
-    profile = (
-        GaussianProfile(center=args.center, sigma=args.sigma)
-        if args.profile == "gaussian"
-        else UniformComplement()
-    )
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_points)
-    report = overlap_scaling_check(ham, j, profile, deltas)
+    report = overlap_scaling_check(ham, j, _profile_from_args(args), deltas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([report.n_values, report.slopes, report.f_intercepts])
@@ -287,18 +222,7 @@ def _cmd_scaling_check(args) -> None:
 
 
 def _cmd_single_run(args) -> None:
-    seed = args.seed or 0
-    if args.model == "ising":
-        basis = parity_basis(args.n_spins, args.sector)
-        ham = project_to_sector(build_ising_full(args.n_spins, args.hz), basis)
-        tag = f"ising N={args.n_spins} {args.sector} hz={args.hz:g}"
-    elif args.model == "banded":
-        bandwidth = max(1, min(args.dim - 1, round(args.bandwidth_frac * args.dim)))
-        ham = build_banded_random(args.dim, bandwidth, args.k, seed)
-        tag = f"banded D={args.dim} b={bandwidth} k={args.k:g}"
-    else:
-        ham = build_goe(args.dim, seed)
-        tag = f"goe D={args.dim}"
+    ham, tag = _model_from_args(args)
     spec = eigendecompose(ham)
     state_kind = args.state or ("all_up" if args.model == "ising" else "uniform")
     if state_kind == "all_up":
@@ -343,13 +267,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

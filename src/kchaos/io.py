@@ -7,23 +7,17 @@ byte-identical files.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError
 from .measures import DispersionConfig
-from .sweeps import (
-    AllUpFamily,
-    BorderFamily,
-    EigenstatesFamily,
-    Family,
-    FamilyStats,
-    RandomFamily,
-    SweepConfig,
-    SweepRecord,
-    UniformFamily,
-)
+from .sweeps import FamilyStats, SweepConfig, SweepRecord, parse_families
 
 _STAT_COLUMNS = ("cbar_norm", "inv_sigma_a", "inv_sigma_b", "inv_sigma_a_norm", "inv_sigma_b_norm")
 
@@ -210,65 +204,65 @@ def render_line_chart(
 # ---------------------------------------------------------------------------
 # config files
 
-CONFIG_KEYS = {
-    "model": "ising | banded",
-    "seed": "master seed (integer, default 0)",
-    "n_spins": "chain length for the ising model (default 10)",
-    "sector": "parity sector, even | odd (default even)",
-    "n_eta": "chain length for the eta curve (default: n_spins)",
-    "dim": "matrix dimension for the banded model (default 1024)",
-    "bandwidth_frac": "bandwidth as a fraction of dim (default 0.2)",
-    "realizations": "banded-model realizations to average (default 10)",
-    "param_min": "grid start (h_z or k)",
-    "param_max": "grid end",
-    "param_points": "number of grid points",
-    "param_scale": "log | linear grid spacing (default log)",
-    "param_values": "explicit comma-separated grid (overrides min/max/points)",
-    "families": "comma list: all_up, uniform, uniform@<p>, random, border, eig_ref@<p>",
-    "random_count": "members in the random family (default 10)",
-    "eigen_count": "members in eigenstate families (default 40 ising / 20 banded)",
-    "w_frac": "dispersion window half-width fraction (default 0.025)",
-    "n0_frac": "dispersion start-index fraction (default 0.1)",
-    "allow_degenerate": "run despite near-degenerate spectra (default false)",
-    "threads": "worker threads over grid points (default 1)",
-}
 
-_REQUIRED_KEYS = ("model",)
-
-
-def _parse_bool(value: str, key: str) -> bool:
+def parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"key {key}: expected a boolean, got {value!r}")
+    raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-def _parse_families(value: str, random_count: int, eigen_count: int) -> tuple[Family, ...]:
-    fams: list[Family] = []
-    for token in value.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "all_up":
-            fams.append(AllUpFamily())
-        elif token == "uniform":
-            fams.append(UniformFamily())
-        elif token.startswith("uniform@"):
-            fams.append(UniformFamily(ref_param=float(token.split("@", 1)[1])))
-        elif token == "random":
-            fams.append(RandomFamily(count=random_count))
-        elif token == "border":
-            fams.append(BorderFamily())
-        elif token.startswith("eig_ref@"):
-            fams.append(EigenstatesFamily(ref_param=float(token.split("@", 1)[1]), count=eigen_count))
-        else:
-            raise ConfigError(
-                f"unknown family {token!r}; valid: all_up, uniform, uniform@<p>, "
-                "random, border, eig_ref@<p>"
-            )
-    return tuple(fams)
+def parse_floats(value: str) -> np.ndarray:
+    return np.array([float(tok) for tok in value.split(",") if tok.strip()])
+
+
+# the grid-flag stem of each sweep command: --hz-min, --k-min, ...
+_PARAM_FLAG = {"ising": "hz", "banded": "k"}
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config-file key: its value parser (also the argparse type of its
+    sweep-command ``flag``), the one ``model`` it applies to, if any, and the
+    SweepConfig field several keys fold ``into`` (None: the key is a field)."""
+
+    parse: Callable[[str], Any]
+    help: str = ""
+    flag: str | None = None
+    model: str | None = None
+    into: str | None = None
+
+    def flag_for(self, model: str) -> str | None:
+        if self.flag is None or self.model not in (None, model):
+            return None
+        return self.flag.format(param=_PARAM_FLAG[model])
+
+
+# In .meta.txt order.  The defaults live with SweepConfig in kchaos.sweeps.
+CONFIG_KEYS = {
+    "model": ConfigKey(str),
+    "seed": ConfigKey(int, "master seed", "--seed"),
+    "param_min": ConfigKey(float, "grid start", "--{param}-min", into="param_grid"),
+    "param_max": ConfigKey(float, "grid end", "--{param}-max", into="param_grid"),
+    "param_points": ConfigKey(int, "number of grid points", "--{param}-points", into="param_grid"),
+    "param_scale": ConfigKey(str, into="param_grid"),
+    "param_values": ConfigKey(parse_floats, into="param_grid"),
+    "families": ConfigKey(str, "comma list of state families", "--families", into="families"),
+    "random_count": ConfigKey(int, "random-family members", "--random-count", into="families"),
+    "eigen_count": ConfigKey(int, "eigenstate-family members", "--eigen-count", into="families"),
+    "n_spins": ConfigKey(int, "chain length", "--n-spins", model="ising"),
+    "sector": ConfigKey(str, model="ising"),
+    "n_eta": ConfigKey(int, "chain length of the eta curve", "--n-eta", model="ising"),
+    "dim": ConfigKey(int, "matrix dimension", "--dim", model="banded"),
+    "bandwidth_frac": ConfigKey(float, "bandwidth / dim", "--bandwidth-frac", model="banded"),
+    "realizations": ConfigKey(int, "matrix draws to average", "--realizations", model="banded"),
+    "w_frac": ConfigKey(float, "dispersion window fraction", "--w-frac", into="dispersion"),
+    "n0_frac": ConfigKey(float, "dispersion start fraction", "--n0-frac", into="dispersion"),
+    "allow_degenerate": ConfigKey(parse_bool, "run despite degeneracy", "--allow-degenerate"),
+    "threads": ConfigKey(int, "worker threads over grid points", "--threads"),
+}
 
 
 def read_config_pairs(path: str | Path) -> dict[str, str]:
@@ -288,64 +282,43 @@ def read_config_pairs(path: str | Path) -> dict[str, str]:
     return pairs
 
 
+def _param_grid(param_values=None, param_scale: str = "log", **bounds) -> np.ndarray:
+    """The sweep grid from explicit values or from min/max/points and a scale."""
+    if param_values is not None:
+        return param_values
+    if not bounds:
+        return np.empty(0)
+    missing = sorted({"param_min", "param_max", "param_points"} - set(bounds))
+    if missing:
+        raise ConfigError(f"incomplete grid settings; missing: {', '.join(missing)}")
+    lo, hi, n = bounds["param_min"], bounds["param_max"], bounds["param_points"]
+    if param_scale == "log":
+        if lo <= 0:
+            raise ConfigError("log grids need param_min > 0")
+        return np.geomspace(lo, hi, n)
+    if param_scale == "linear":
+        return np.linspace(lo, hi, n)
+    raise ConfigError(f"param_scale must be 'log' or 'linear', got {param_scale!r}")
+
+
 def build_sweep_config(pairs: dict[str, str]) -> SweepConfig:
     """Construct and validate a SweepConfig from parsed key/value pairs."""
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
-            raise ConfigError(f"config is missing required key: {key}")
-    model = pairs["model"]
-    if model not in ("ising", "banded"):
-        raise ConfigError(f"model must be 'ising' or 'banded', got {model!r}")
-
-    if "param_values" in pairs:
-        grid = np.array([float(tok) for tok in pairs["param_values"].split(",") if tok.strip()])
-    else:
-        grid_keys = [k for k in ("param_min", "param_max", "param_points") if k in pairs]
-        if grid_keys and len(grid_keys) < 3:
-            missing = sorted(set(("param_min", "param_max", "param_points")) - set(grid_keys))
-            raise ConfigError(f"incomplete grid settings; missing: {', '.join(missing)}")
-        if grid_keys:
-            lo = float(pairs["param_min"])
-            hi = float(pairs["param_max"])
-            n = int(pairs["param_points"])
-            scale = pairs.get("param_scale", "log")
-            if scale == "log":
-                if lo <= 0:
-                    raise ConfigError("log grids need param_min > 0")
-                grid = np.geomspace(lo, hi, n)
-            elif scale == "linear":
-                grid = np.linspace(lo, hi, n)
-            else:
-                raise ConfigError(f"param_scale must be 'log' or 'linear', got {scale!r}")
-        else:
-            grid = np.empty(0)
-
-    random_count = int(pairs.get("random_count", 10))
-    eigen_count = int(pairs.get("eigen_count", 40 if model == "ising" else 20))
-    families: tuple[Family, ...] = ()
-    if "families" in pairs:
-        families = _parse_families(pairs["families"], random_count, eigen_count)
-
-    dispersion = DispersionConfig(
-        w_frac=float(pairs.get("w_frac", 0.025)),
-        n0_frac=float(pairs.get("n0_frac", 0.1)),
-    )
-    n_eta = int(pairs["n_eta"]) if "n_eta" in pairs else None
+    if "model" not in pairs:
+        raise ConfigError("config is missing required key: model")
+    parts: dict[str | None, dict[str, Any]] = defaultdict(dict)
+    for key, text in pairs.items():
+        spec = CONFIG_KEYS[key]
+        try:
+            parts[spec.into][key] = spec.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"key {key}: {exc}") from exc
+    fields = parts[None]
     try:
         return SweepConfig(
-            model=model,
-            param_grid=grid,
-            families=families,
-            seed=int(pairs.get("seed", 0)),
-            n_spins=int(pairs.get("n_spins", 10)),
-            sector=pairs.get("sector", "even"),
-            n_eta=n_eta,
-            dim=int(pairs.get("dim", 1024)),
-            bandwidth_frac=float(pairs.get("bandwidth_frac", 0.2)),
-            realizations=int(pairs.get("realizations", 10)),
-            dispersion=dispersion,
-            allow_degenerate=_parse_bool(pairs.get("allow_degenerate", "false"), "allow_degenerate"),
-            threads=int(pairs.get("threads", 1)),
+            **fields,
+            param_grid=_param_grid(**parts["param_grid"]),
+            families=parse_families(fields["model"], **parts["families"]),
+            dispersion=DispersionConfig(**parts["dispersion"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -356,30 +329,38 @@ def parse_config(path: str | Path) -> SweepConfig:
     return build_sweep_config(read_config_pairs(path))
 
 
-def config_summary(cfg: SweepConfig) -> str:
-    """Deterministic textual record of every resolved configuration value."""
-    lines = [
-        f"model = {cfg.model}",
-        f"seed = {cfg.seed}",
-        f"param_grid = {','.join(_fmt(p) for p in cfg.param_grid)}",
+def _meta_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _group_lines(group: str, cfg: SweepConfig) -> list[str]:
+    if group == "param_grid":
+        return [f"param_grid = {','.join(_fmt(p) for p in cfg.param_grid)}"]
+    return [
         f"families = {','.join(f.label for f in cfg.families)}",
+        f"family_counts = {','.join(str(getattr(f, 'count', 1)) for f in cfg.families)}",
     ]
-    if cfg.model == "ising":
-        lines += [
-            f"n_spins = {cfg.n_spins}",
-            f"sector = {cfg.sector}",
-            f"n_eta = {cfg.n_eta if cfg.n_eta is not None else cfg.n_spins}",
-        ]
-    else:
-        lines += [
-            f"dim = {cfg.dim}",
-            f"bandwidth_frac = {_fmt(cfg.bandwidth_frac)}",
-            f"realizations = {cfg.realizations}",
-        ]
-    lines += [
-        f"w_frac = {_fmt(cfg.dispersion.w_frac)}",
-        f"n0_frac = {_fmt(cfg.dispersion.n0_frac)}",
-        f"allow_degenerate = {str(cfg.allow_degenerate).lower()}",
-        f"threads = {cfg.threads}",
-    ]
+
+
+def config_summary(cfg: SweepConfig) -> str:
+    """Deterministic textual record of every resolved configuration value.
+
+    ``family_counts`` gives each family's member count; families with one
+    state per realization count 1.
+    """
+    lines: list[str] = []
+    groups_done = set()
+    for key, spec in CONFIG_KEYS.items():
+        if spec.model not in (None, cfg.model):
+            continue
+        if spec.into in (None, "dispersion"):
+            holder = cfg if spec.into is None else cfg.dispersion
+            lines.append(f"{key} = {_meta_value(getattr(holder, key))}")
+        elif spec.into not in groups_done:
+            groups_done.add(spec.into)
+            lines += _group_lines(spec.into, cfg)
     return "\n".join(lines) + "\n"

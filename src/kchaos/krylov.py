@@ -37,8 +37,11 @@ class LanczosResult:
     b: np.ndarray
     basis: np.ndarray
     krylov_dim: int
-    halted_early: bool
     halt_index: int | None
+
+    @property
+    def halted_early(self) -> bool:
+        return self.halt_index is not None
 
     def tridiagonal(self) -> np.ndarray:
         """Dense K x K tridiagonal matrix built from the coefficients."""
@@ -168,7 +171,6 @@ def lanczos_full_orth(
         b=b[: k - 1],
         basis=basis,
         krylov_dim=k,
-        halted_early=k < dim,
         halt_index=halt_index,
     )
 

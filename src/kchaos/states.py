@@ -20,10 +20,9 @@ NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm amplitude vector tagged with the basis it is written in."""
+    """Unit-norm amplitude vector in the basis the Hamiltonian matrix uses."""
 
     amplitudes: np.ndarray
-    basis_tag: str = "sector"
 
     @property
     def dim(self) -> int:
@@ -47,13 +46,13 @@ class UniformComplement:
     """Equal amplitude moduli on every eigenstate except the anchored one."""
 
 
-def _make_state(amplitudes: np.ndarray, basis_tag: str = "sector") -> StateVector:
+def _make_state(amplitudes: np.ndarray) -> StateVector:
     amplitudes = np.asarray(amplitudes)
     norm = np.linalg.norm(amplitudes)
     if abs(norm - 1.0) > NORM_TOL:
         amplitudes = amplitudes / norm
     amplitudes.setflags(write=False)
-    return StateVector(amplitudes=amplitudes, basis_tag=basis_tag)
+    return StateVector(amplitudes=amplitudes)
 
 
 def state_all_up(basis: ParityBasis) -> StateVector:

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import logging
 import zlib
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,7 +129,11 @@ Family = AllUpFamily | UniformFamily | RandomFamily | EigenstatesFamily | Border
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep needs; validated on construction."""
+    """Everything a sweep needs; validated on construction.
+
+    ``n_eta`` is the chain length of the ising eta curve and resolves to
+    ``n_spins`` when not given.
+    """
 
     model: str
     param_grid: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -144,18 +150,17 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.model not in ("ising", "banded"):
-            raise ConfigError(f"model must be 'ising' or 'banded', got {self.model!r}")
+        default_grid, _, _ = _model_defaults(self.model)
         grid = np.asarray(self.param_grid, dtype=float)
         if grid.size == 0:
-            grid = default_hz_grid() if self.model == "ising" else default_k_grid()
+            grid = default_grid.copy()
         if not np.all(np.isfinite(grid)):
             raise ConfigError("param_grid must be finite")
         if self.model == "ising" and np.any(grid == 0.0):
             raise ConfigError("h_z = 0 is a symmetry point and must not be on the grid")
         grid.setflags(write=False)
         object.__setattr__(self, "param_grid", grid)
-        families = tuple(self.families) if self.families else _default_families(self.model)
+        families = tuple(self.families) or parse_families(self.model)
         object.__setattr__(self, "families", families)
         labels = [f.label for f in families]
         if len(set(labels)) != len(labels):
@@ -165,39 +170,59 @@ class SweepConfig:
                 raise ConfigError("the all_up family applies to the ising model only")
             if isinstance(fam, BorderFamily) and self.model != "banded":
                 raise ConfigError("the border family applies to the banded model only")
-        if isinstance(self.dispersion, dict):
-            object.__setattr__(self, "dispersion", DispersionConfig(**self.dispersion))
+        if self.n_eta is None:
+            object.__setattr__(self, "n_eta", self.n_spins)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
 
-def _default_families(model: str) -> tuple[Family, ...]:
-    if model == "ising":
-        return (
-            AllUpFamily(),
-            EigenstatesFamily(ref_param=4.0),
-            EigenstatesFamily(ref_param=0.0),
-            RandomFamily(),
-            UniformFamily(),
-        )
-    return (
-        BorderFamily(),
-        EigenstatesFamily(ref_param=0.0, count=20),
-        RandomFamily(),
-        UniformFamily(),
-    )
+# Each model's default grid, state families and eigenstate-family size.  The
+# field grid covers both integrable ends; the coupling grid brackets the
+# Poisson-to-GOE transition.
+_MODEL_DEFAULTS = {
+    "ising": (np.geomspace(0.05, 4.0, 30), "all_up,eig_ref@4,eig_ref@0,random,uniform", 40),
+    "banded": (np.geomspace(5e-4, 2.0, 20), "border,eig_ref@0,random,uniform", 20),
+}
 
 
-def default_hz_grid() -> np.ndarray:
-    """30 log-spaced field values covering both integrable ends."""
-    return np.geomspace(0.05, 4.0, 30)
+def _model_defaults(model: str) -> tuple[np.ndarray, str, int]:
+    if model not in _MODEL_DEFAULTS:
+        raise ConfigError(f"model must be 'ising' or 'banded', got {model!r}")
+    return _MODEL_DEFAULTS[model]
 
 
-def default_k_grid() -> np.ndarray:
-    """20 log-spaced couplings bracketing the Poisson-to-GOE transition."""
-    return np.geomspace(5e-4, 2.0, 20)
+def parse_families(
+    model: str,
+    families: str = "",
+    random_count: int = RandomFamily.count,
+    eigen_count: int | None = None,
+) -> tuple[Family, ...]:
+    """State families from a comma list; an empty list gives the model's
+    default families, and ``eigen_count`` the model's default size."""
+    _, default_families, default_eigen_count = _model_defaults(model)
+    if eigen_count is None:
+        eigen_count = default_eigen_count
+    fams: list[Family] = []
+    for token in filter(None, (t.strip() for t in (families or default_families).split(","))):
+        name, at, ref = token.partition("@")
+        if token == "all_up":
+            fams.append(AllUpFamily())
+        elif name == "uniform":
+            fams.append(UniformFamily(ref_param=float(ref) if at else None))
+        elif token == "random":
+            fams.append(RandomFamily(count=random_count))
+        elif token == "border":
+            fams.append(BorderFamily())
+        elif name == "eig_ref" and at:
+            fams.append(EigenstatesFamily(ref_param=float(ref), count=eigen_count))
+        else:
+            raise ConfigError(
+                f"unknown family {token!r}; valid: all_up, uniform, uniform@<p>, "
+                "random, border, eig_ref@<p>"
+            )
+    return tuple(fams)
 
 
 @dataclass(frozen=True)
@@ -221,7 +246,90 @@ class SweepRecord:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# models
+
+
+def ising_hamiltonian(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
+    """Ising chain at field ``h_z`` restricted to one reflection-parity sector."""
+    return project_to_sector(build_ising_full(n_spins, h_z), parity_basis(n_spins, sector))
+
+
+def banded_hamiltonian(dim: int, bandwidth_frac: float, k: float, seed: int) -> Hamiltonian:
+    """Banded model at coupling ``k`` with bandwidth ``bandwidth_frac * dim``, rounded."""
+    bandwidth = max(1, min(dim - 1, round(bandwidth_frac * dim)))
+    return build_banded_random(dim, bandwidth, k, seed)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A model as the point loop sees it: H at (param, realization), and the
+    Hamiltonian whose levels give eta when it is not the swept one."""
+
+    param_name: str
+    realizations: int
+    hamiltonian: Callable[[float, int], Hamiltonian]
+    eta_hamiltonian: Callable[[float], Hamiltonian] | None = None
+
+
+def _model(cfg: SweepConfig) -> _Model:
+    if cfg.model == "ising":
+        return _Model(
+            param_name="h_z",
+            realizations=1,
+            hamiltonian=lambda h_z, r: ising_hamiltonian(cfg.n_spins, h_z, cfg.sector),
+            eta_hamiltonian=None
+            if cfg.n_eta == cfg.n_spins
+            else lambda h_z: ising_hamiltonian(cfg.n_eta, h_z, cfg.sector),
+        )
+    # each realization draws one (H0, V) pair traced through the whole grid
+    seeds = [derive_seed(cfg.seed, "matrix", r) for r in range(cfg.realizations)]
+    return _Model(
+        param_name="k",
+        realizations=cfg.realizations,
+        hamiltonian=lambda k, r: banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, seeds[r]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the sweep
+
+
+def _fixed_members(
+    cfg: SweepConfig, model: _Model
+) -> dict[str, list[tuple[int, StateVector]] | None]:
+    """The (realization, state) pairs each family runs at every grid point;
+    None for the current-basis uniform family, rebuilt at each point.  The
+    reference spectra are released before the point loop."""
+    basis = parity_basis(cfg.n_spins, cfg.sector) if cfg.model == "ising" else None
+    # the spectra of every realization at one reference parameter at a time
+    reference = lru_cache(maxsize=1)(
+        lambda p: [eigendecompose(model.hamiltonian(p, r)) for r in range(model.realizations)]
+    )
+    members = {}
+    for fam in cfg.families:
+        if isinstance(fam, AllUpFamily):
+            pairs = [(0, state_all_up(basis))]
+        elif isinstance(fam, RandomFamily):
+            dim = basis.dim if basis else cfg.dim
+            pairs = [
+                (0, state_random(dim, derive_seed(cfg.seed, "random-state", i)))
+                for i in range(fam.count)
+            ]
+        elif isinstance(fam, BorderFamily):
+            pairs = [(r, state_eigenstate(spec, 0)) for r, spec in enumerate(reference(0.0))]
+        elif isinstance(fam, EigenstatesFamily):
+            if cfg.model == "banded" and fam.ref_param != 0.0:
+                raise ConfigError("banded eigenstate families reference the k=0 spectrum")
+            spec = reference(fam.ref_param)[0]
+            pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
+        elif fam.ref_param is None:
+            pairs = None
+        elif cfg.model == "banded":
+            raise ConfigError("banded uniform family uses the current eigenbasis")
+        else:
+            pairs = [(0, state_uniform_eigenbasis(reference(fam.ref_param)[0]))]
+        members[fam.label] = pairs
+    return members
 
 
 def _member_stats(
@@ -242,98 +350,70 @@ def _member_stats(
     return rep.c_bar_normalized, inv_a, inv_b
 
 
-def _average_members(
-    ham: Hamiltonian,
-    spec: SpectralData,
-    members: list[StateVector],
-    cfg: SweepConfig,
-) -> FamilyStats:
-    rows = [_member_stats(ham, spec, psi, cfg) for psi in members]
-    return _stats_from_rows(rows)
+def _stats_from_rows(rows: list[tuple[float, float, float]]) -> FamilyStats:
+    arr = np.array(rows)
+    inv_a = arr[:, 1][np.isfinite(arr[:, 1])]
+    inv_b = arr[:, 2][np.isfinite(arr[:, 2])]
+    return FamilyStats(
+        c_bar_norm=float(arr[:, 0].mean()),
+        inv_sigma_a=float(inv_a.mean()) if inv_a.size else float("nan"),
+        inv_sigma_b=float(inv_b.mean()) if inv_b.size else float("nan"),
+    )
 
 
-def _run_grid(cfg: SweepConfig, point_fn) -> list[SweepRecord]:
-    """Evaluate one function per grid point, optionally threaded, order kept."""
+def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
+    """The one point loop, threaded over points when asked, in grid order.
+
+    Points where any realization is flagged near-degenerate are skipped with
+    a logged warning.
+    """
+    if cfg.model != model_name:
+        raise ConfigError(f"run_{model_name}_sweep requires model = {model_name}")
+    model = _model(cfg)
+    fixed = _fixed_members(cfg, model)
+
+    def point(i: int) -> SweepRecord | None:
+        param = float(cfg.param_grid[i])
+        hams = [model.hamiltonian(param, r) for r in range(model.realizations)]
+        specs = [eigendecompose(h) for h in hams]
+        if any(s.near_degenerate for s in specs) and not cfg.allow_degenerate:
+            log.warning(
+                "skipping %s=%g: near-degenerate spectrum (min spacing %.3e)",
+                model.param_name,
+                param,
+                min(s.min_spacing for s in specs),
+            )
+            return None
+        if model.eta_hamiltonian is None:
+            levels = [s.eigenvalues for s in specs]
+        else:
+            levels = [np.linalg.eigvalsh(model.eta_hamiltonian(param).matrix)]
+        eta_val = float(np.mean([eta(r_ratio_mean(e)) for e in levels]))
+        stats: dict[str, FamilyStats] = {}
+        for fam in cfg.families:
+            members = fixed[fam.label]
+            if members is None:
+                members = [(r, state_uniform_eigenbasis(s)) for r, s in enumerate(specs)]
+            rows = [_member_stats(hams[r], specs[r], psi, cfg) for r, psi in members]
+            stats[fam.label] = _stats_from_rows(rows)
+        return SweepRecord(param=param, eta=eta_val, families=stats)
+
     indices = range(cfg.param_grid.shape[0])
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(point_fn, indices))
+            results = list(pool.map(point, indices))
     else:
-        results = [point_fn(i) for i in indices]
+        results = [point(i) for i in indices]
     return [r for r in results if r is not None]
-
-
-# ---------------------------------------------------------------------------
-# ising sweep
-
-
-def _ising_sector_hamiltonian(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
-    return project_to_sector(build_ising_full(n_spins, h_z), parity_basis(n_spins, sector))
 
 
 def run_ising_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Spin-chain transition sweep over the magnetic-field grid.
 
-    Grid points whose sector spectrum is flagged near-degenerate are skipped
-    with a logged warning.  ``cfg.n_eta`` selects the chain length used for
-    the eta curve; by default the sweep spectrum itself is reused.
+    ``cfg.n_eta`` selects the chain length used for the eta curve; by
+    default the sweep spectrum itself is reused.
     """
-    if cfg.model != "ising":
-        raise ConfigError("run_ising_sweep requires an ising config")
-    basis = parity_basis(cfg.n_spins, cfg.sector)
-
-    fixed_members: dict[str, list[StateVector]] = {}
-    for fam in cfg.families:
-        if isinstance(fam, AllUpFamily):
-            fixed_members[fam.label] = [state_all_up(basis)]
-        elif isinstance(fam, RandomFamily):
-            fixed_members[fam.label] = [
-                state_random(basis.dim, derive_seed(cfg.seed, "random-state", i))
-                for i in range(fam.count)
-            ]
-        elif isinstance(fam, EigenstatesFamily):
-            ref_spec = eigendecompose(
-                _ising_sector_hamiltonian(cfg.n_spins, fam.ref_param, cfg.sector)
-            )
-            picks = select_center_states(ref_spec, fam.count)
-            fixed_members[fam.label] = [state_eigenstate(ref_spec, j) for j in picks]
-        elif isinstance(fam, UniformFamily) and fam.ref_param is not None:
-            ref_spec = eigendecompose(
-                _ising_sector_hamiltonian(cfg.n_spins, fam.ref_param, cfg.sector)
-            )
-            fixed_members[fam.label] = [state_uniform_eigenbasis(ref_spec)]
-
-    def eta_at(h_z: float, spec: SpectralData) -> float:
-        if cfg.n_eta is None or cfg.n_eta == cfg.n_spins:
-            return eta(r_ratio_mean(spec.eigenvalues))
-        ham_eta = _ising_sector_hamiltonian(cfg.n_eta, h_z, cfg.sector)
-        return eta(r_ratio_mean(np.linalg.eigvalsh(ham_eta.matrix)))
-
-    def point(i: int) -> SweepRecord | None:
-        h_z = float(cfg.param_grid[i])
-        ham = _ising_sector_hamiltonian(cfg.n_spins, h_z, cfg.sector)
-        spec = eigendecompose(ham)
-        if spec.near_degenerate and not cfg.allow_degenerate:
-            log.warning(
-                "skipping h_z=%g: near-degenerate spectrum (min spacing %.3e)",
-                h_z,
-                spec.min_spacing,
-            )
-            return None
-        stats: dict[str, FamilyStats] = {}
-        for fam in cfg.families:
-            if isinstance(fam, UniformFamily) and fam.ref_param is None:
-                members = [state_uniform_eigenbasis(spec)]
-            else:
-                members = fixed_members[fam.label]
-            stats[fam.label] = _average_members(ham, spec, members, cfg)
-        return SweepRecord(param=h_z, eta=eta_at(h_z, spec), families=stats)
-
-    return _run_grid(cfg, point)
-
-
-# ---------------------------------------------------------------------------
-# banded sweep
+    return _sweep(cfg, "ising")
 
 
 def run_banded_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -344,71 +424,7 @@ def run_banded_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     averaged over realizations; random and reference-eigenstate families use
     realization 0 only, averaging over their member states.
     """
-    if cfg.model != "banded":
-        raise ConfigError("run_banded_sweep requires a banded config")
-    dim = cfg.dim
-    bandwidth = max(1, min(dim - 1, int(round(cfg.bandwidth_frac * dim))))
-    matrix_seeds = [derive_seed(cfg.seed, "matrix", r) for r in range(cfg.realizations)]
-    ref_specs = [
-        eigendecompose(build_banded_random(dim, bandwidth, 0.0, s)) for s in matrix_seeds
-    ]
-
-    member_states: dict[str, list[StateVector]] = {}
-    for fam in cfg.families:
-        if isinstance(fam, RandomFamily):
-            member_states[fam.label] = [
-                state_random(dim, derive_seed(cfg.seed, "random-state", i))
-                for i in range(fam.count)
-            ]
-        elif isinstance(fam, EigenstatesFamily):
-            if fam.ref_param != 0.0:
-                raise ConfigError("banded eigenstate families reference the k=0 spectrum")
-            picks = select_center_states(ref_specs[0], fam.count)
-            member_states[fam.label] = [state_eigenstate(ref_specs[0], j) for j in picks]
-
-    def point(i: int) -> SweepRecord | None:
-        k = float(cfg.param_grid[i])
-        hams = [build_banded_random(dim, bandwidth, k, s) for s in matrix_seeds]
-        specs = [eigendecompose(h) for h in hams]
-        degenerate = [s.near_degenerate for s in specs]
-        if any(degenerate) and not cfg.allow_degenerate:
-            log.warning("skipping k=%g: near-degenerate realization", k)
-            return None
-        eta_val = float(np.mean([eta(r_ratio_mean(s.eigenvalues)) for s in specs]))
-        stats: dict[str, FamilyStats] = {}
-        for fam in cfg.families:
-            if isinstance(fam, BorderFamily):
-                per_real = [
-                    _member_stats(hams[r], specs[r], state_eigenstate(ref_specs[r], 0), cfg)
-                    for r in range(cfg.realizations)
-                ]
-                stats[fam.label] = _stats_from_rows(per_real)
-            elif isinstance(fam, UniformFamily):
-                if fam.ref_param is not None:
-                    raise ConfigError("banded uniform family uses the current eigenbasis")
-                per_real = [
-                    _member_stats(hams[r], specs[r], state_uniform_eigenbasis(specs[r]), cfg)
-                    for r in range(cfg.realizations)
-                ]
-                stats[fam.label] = _stats_from_rows(per_real)
-            else:
-                stats[fam.label] = _average_members(
-                    hams[0], specs[0], member_states[fam.label], cfg
-                )
-        return SweepRecord(param=k, eta=eta_val, families=stats)
-
-    return _run_grid(cfg, point)
-
-
-def _stats_from_rows(rows: list[tuple[float, float, float]]) -> FamilyStats:
-    arr = np.array(rows)
-    inv_a = arr[:, 1][np.isfinite(arr[:, 1])]
-    inv_b = arr[:, 2][np.isfinite(arr[:, 2])]
-    return FamilyStats(
-        c_bar_norm=float(arr[:, 0].mean()),
-        inv_sigma_a=float(inv_a.mean()) if inv_a.size else float("nan"),
-        inv_sigma_b=float(inv_b.mean()) if inv_b.size else float("nan"),
-    )
+    return _sweep(cfg, "banded")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from kchaos.cli import main
 from kchaos.io import (
     CONFIG_KEYS,
     build_sweep_config,
+    config_summary,
     parse_config,
     read_csv,
     render_svg,
@@ -135,6 +136,24 @@ class TestConfigParsing:
             parse_config(path)
         for key in CONFIG_KEYS:
             assert key in str(err.value)
+
+    @pytest.mark.parametrize(
+        "model, counts",
+        [
+            ("ising", {"all_up": 1, "eig4": 3, "eig0": 3, "random": 2, "uniform": 1}),
+            ("banded", {"border": 1, "eig0": 3, "random": 2, "uniform": 1}),
+        ],
+    )
+    def test_counts_apply_to_default_families(self, model, counts):
+        cfg = build_sweep_config({"model": model, "random_count": "2", "eigen_count": "3"})
+        assert {f.label: getattr(f, "count", 1) for f in cfg.families} == counts
+
+    def test_meta_records_family_counts(self):
+        cfg = build_sweep_config(
+            {"model": "banded", "families": "border,eig_ref@0,random,uniform", "random_count": "2"}
+        )
+        lines = config_summary(cfg).splitlines()
+        assert lines[3:5] == ["families = border,eig0,random,uniform", "family_counts = 1,20,2,1"]
 
     def test_missing_model_named(self):
         with pytest.raises(ConfigError, match="model"):
@@ -312,3 +331,44 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "single_run.csv").exists()
         assert "c_bar" in capsys.readouterr().out
+
+
+# every sweep flag, set away from its default, and the .meta.txt line it gives
+SHARED_FLAGS = [
+    ("--seed 3", "seed = 3"),
+    ("--w-frac 0.1", "w_frac = 0.1"),
+    ("--n0-frac 0.2", "n0_frac = 0.2"),
+    ("--allow-degenerate", "allow_degenerate = true"),
+    ("--threads 2", "threads = 2"),
+]
+SWEEP_FLAGS = {
+    "ising-sweep": [
+        ("--n-spins 4", "n_spins = 4"),
+        ("--n-eta 5", "n_eta = 5"),
+        ("--hz-min 0.5 --hz-max 2 --hz-points 2", "param_grid = 0.5,2"),
+        ("--families all_up,random,eig_ref@1", "families = all_up,random,eig1"),
+        ("--random-count 2 --eigen-count 3", "family_counts = 1,2,3"),
+    ],
+    "banded-sweep": [
+        ("--dim 16", "dim = 16"),
+        ("--bandwidth-frac 0.25", "bandwidth_frac = 0.25"),
+        ("--realizations 2", "realizations = 2"),
+        ("--k-min 0.01 --k-max 1 --k-points 2", "param_grid = 0.01,1"),
+        ("--families border,eig_ref@0,random,uniform", "families = border,eig0,random,uniform"),
+        ("--random-count 2 --eigen-count 3", "family_counts = 1,3,2,1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_FLAGS))
+def test_every_sweep_flag_reaches_meta(command, tmp_path, capsys):
+    flags = SWEEP_FLAGS[command] + SHARED_FLAGS
+    argv = [command, "--out", str(tmp_path)]
+    for args, _ in flags:
+        argv += args.split()
+    assert main(argv) == 0
+    stem = command.replace("-", "_")
+    meta = (tmp_path / f"{stem}.meta.txt").read_text().splitlines()
+    for args, line in flags:
+        assert line in meta, args
+    assert len(read_csv(tmp_path / f"{stem}.csv")) == 2
