@@ -41,7 +41,6 @@ from .measures import (
     MEAN_R_GOE,
     MEAN_R_POISSON,
     DispersionConfig,
-    EtaCurve,
     eta,
     normalize_to_eta,
     r_ratio_mean,
@@ -78,7 +77,6 @@ from .sweeps import (
     SweepRecord,
     UniformFamily,
     derive_seed,
-    extract_eta_curve,
     postprocess_normalize,
     run_banded_sweep,
     run_ising_sweep,

@@ -58,14 +58,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="kchaos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    files = _Parser(add_help=False)
-    files.add_argument("--config", type=Path, help="flat key=value config file")
-    files.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    common = _Parser(add_help=False, parents=[files])
+    out = _Parser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    common = _Parser(add_help=False, parents=[out])
     common.add_argument("--seed", type=int, help="master seed")
 
     for model, what in (("ising", "spin-chain h_z sweep"), ("banded", "banded-model k sweep")):
-        p = sub.add_parser(f"{model}-sweep", parents=[files], help=what)
+        p = sub.add_parser(f"{model}-sweep", parents=[out], help=what)
+        p.add_argument("--config", type=Path, help="flat key=value config file")
         for key, spec in CONFIG_KEYS.items():
             flag = spec.flag_for(model)
             if flag is None:
@@ -147,15 +147,13 @@ def _cmd_sweep(args) -> None:
     if len(records) >= 2:
         records = postprocess_normalize(records)
     stem = f"{model}_sweep"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
+    csv_path = args.out / f"{stem}.csv"
     labels = [f.label for f in cfg.families]
     write_csv(records, csv_path, family_labels=labels)
-    (out / f"{stem}.meta.txt").write_text(config_summary(cfg), newline="\n")
+    (args.out / f"{stem}.meta.txt").write_text(config_summary(cfg), newline="\n")
     for chart, column, title in _SWEEP_CHARTS if records else ():
         columns = ["eta"] + [f"{lab}_{column}" for lab in labels]
-        render_svg(records, columns, out / f"{stem}_{chart}.svg", title=title)
+        render_svg(records, columns, args.out / f"{stem}_{chart}.svg", title=title)
     print(f"{stem}: {len(records)} grid points -> {csv_path}")
 
 
@@ -192,14 +190,12 @@ def _cmd_bound_sweep(args) -> None:
         deltas,
         allow_degenerate=args.allow_degenerate,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([sweep.deltas, sweep.c_bar, sweep.bound])
-    write_table(out / "bound_sweep.csv", ["delta", "c_bar", "bound"], table)
+    write_table(args.out / "bound_sweep.csv", ["delta", "c_bar", "bound"], table)
     render_line_chart(
         sweep.deltas,
         [("c_bar", sweep.c_bar), ("bound", sweep.bound)],
-        out / "bound_sweep.svg",
+        args.out / "bound_sweep.svg",
         title=f"saturation vs bound ({tag})",
         x_label="delta",
     )
@@ -211,10 +207,8 @@ def _cmd_scaling_check(args) -> None:
     j = args.j if args.j is not None else args.dim // 2
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_points)
     report = overlap_scaling_check(ham, j, _profile_from_args(args), deltas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([report.n_values, report.slopes, report.f_intercepts])
-    write_table(out / "scaling_check.csv", ["n", "slope", "f_n"], table)
+    write_table(args.out / "scaling_check.csv", ["n", "slope", "f_n"], table)
     print(
         f"scaling-check GOE D={args.dim} j={j}: median slope = {report.median_slope:.4f}, "
         f"sum f_n = {report.f_sum:.4f}"
@@ -237,13 +231,13 @@ def _cmd_single_run(args) -> None:
     rep = saturation(spec, lan, psi, allow_degenerate=args.allow_degenerate)
     times = default_time_grid(spec.spectral_range, ham.dim, n_points=args.t_points)
     curve = complexity_values(spec, lan, psi, times)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_table(out / "single_run.csv", ["t", "c_k"], np.column_stack([curve.times, curve.values]))
+    write_table(
+        args.out / "single_run.csv", ["t", "c_k"], np.column_stack([curve.times, curve.values])
+    )
     render_line_chart(
         curve.times[1:],
         [("c_k", curve.values[1:])],
-        out / "single_run.svg",
+        args.out / "single_run.svg",
         title=f"complexity growth ({tag}, {state_kind})",
         x_label="t",
         log_x=True,
@@ -266,6 +260,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.out.mkdir(parents=True, exist_ok=True)
         args.func(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

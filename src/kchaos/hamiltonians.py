@@ -30,10 +30,6 @@ class Hamiltonian:
     dim: int
     meta: dict = field(default_factory=dict)
 
-    @property
-    def family(self) -> str:
-        return self.meta.get("family", "custom")
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -112,9 +108,9 @@ def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
     return Hamiltonian(matrix=matrix, dim=matrix.shape[0], meta=meta)
 
 
-def hamiltonian_from_matrix(matrix: np.ndarray, family: str = "custom", **params) -> Hamiltonian:
+def hamiltonian_from_matrix(matrix: np.ndarray) -> Hamiltonian:
     """Wrap an externally built symmetric matrix (copied, caller keeps ownership)."""
-    return _as_hamiltonian(np.array(matrix, dtype=float), {"family": family, **params})
+    return _as_hamiltonian(np.array(matrix, dtype=float), {"family": "custom"})
 
 
 def build_ising_full(n_spins: int, h_z: float) -> Hamiltonian:
@@ -257,11 +253,11 @@ def build_goe(dim: int, seed: int) -> Hamiltonian:
     return _as_hamiltonian(h, {"family": "goe", "dim": dim, "seed": int(seed)})
 
 
-def eigendecompose(ham: Hamiltonian, degeneracy_tol: float | None = None) -> SpectralData:
+def eigendecompose(ham: Hamiltonian) -> SpectralData:
     """Dense symmetric eigendecomposition with near-degeneracy detection.
 
-    ``degeneracy_tol`` defaults to 1e-10 times the spectral range; a minimum
-    level spacing below it sets the ``near_degenerate`` flag, which makes
+    ``degeneracy_tol`` is 1e-10 times the spectral range; a minimum level
+    spacing below it sets the ``near_degenerate`` flag, which makes
     downstream Lanczos runs refuse the spectrum unless overridden.
     """
     try:
@@ -270,9 +266,7 @@ def eigendecompose(ham: Hamiltonian, degeneracy_tol: float | None = None) -> Spe
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     spacings = np.diff(eigenvalues)
     min_spacing = float(spacings.min()) if spacings.size else np.inf
-    spectral_range = float(eigenvalues[-1] - eigenvalues[0])
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-10 * spectral_range
+    degeneracy_tol = 1e-10 * float(eigenvalues[-1] - eigenvalues[0])
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return SpectralData(

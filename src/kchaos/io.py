@@ -135,7 +135,9 @@ def render_line_chart(
         log_x = bool(np.all(x > 0) and x.max() / x.min() > 10.0)
     xs = np.log10(x) if log_x else x
     all_y = np.concatenate([s[1] for s in series])
-    y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
+    # halted members leave nan points; they are skipped, not plotted
+    all_y = all_y[np.isfinite(all_y)]
+    y_lo, y_hi = (float(np.min(all_y)), float(np.max(all_y))) if all_y.size else (0.0, 0.0)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -186,7 +188,9 @@ def render_line_chart(
     )
     for i, (name, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(xs, ys))
+        pts = " ".join(
+            f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(xs, ys) if np.isfinite(yv)
+        )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -282,12 +286,13 @@ def read_config_pairs(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _param_grid(param_values=None, param_scale: str = "log", **bounds) -> np.ndarray:
-    """The sweep grid from explicit values or from min/max/points and a scale."""
+def _param_grid(param_values=None, param_scale: str = "log", **bounds) -> np.ndarray | None:
+    """The sweep grid from explicit values or from min/max/points and a scale;
+    None when no grid key is given."""
     if param_values is not None:
         return param_values
     if not bounds:
-        return np.empty(0)
+        return None
     missing = sorted({"param_min", "param_max", "param_points"} - set(bounds))
     if missing:
         raise ConfigError(f"incomplete grid settings; missing: {', '.join(missing)}")

@@ -73,14 +73,8 @@ class SaturationReport:
     q0n: np.ndarray
 
 
-def _gershgorin_range(matrix: np.ndarray) -> float:
-    radii = np.sum(np.abs(matrix), axis=1) - np.abs(np.diag(matrix))
-    diag = np.diag(matrix)
-    return float(np.max(diag + radii) - np.min(diag - radii))
-
-
-def _check_degeneracy(spec: SpectralData | None, allow_degenerate: bool) -> None:
-    if spec is not None and spec.near_degenerate and not allow_degenerate:
+def _check_degeneracy(spec: SpectralData, allow_degenerate: bool) -> None:
+    if spec.near_degenerate and not allow_degenerate:
         raise DegenerateSpectrumError(
             f"spectrum has min spacing {spec.min_spacing:.3e} below tolerance "
             f"{spec.degeneracy_tol:.3e}; pass allow_degenerate=True to proceed"
@@ -90,12 +84,15 @@ def _check_degeneracy(spec: SpectralData | None, allow_degenerate: bool) -> None
 def lanczos_full_orth(
     ham: Hamiltonian,
     psi0: StateVector,
-    b_tol: float = DEFAULT_B_TOL,
-    spec: SpectralData | None = None,
+    spec: SpectralData,
     allow_degenerate: bool = False,
     ortho_tol: float = DEFAULT_ORTHO_TOL,
 ) -> LanczosResult:
     """Three-term recursion with full (twice-repeated) reorthogonalization.
+
+    The recursion halts at the first off-diagonal coefficient below
+    ``DEFAULT_B_TOL`` times the spectral range of ``spec`` (times 1 when the
+    range is 0).
 
     Parameters
     ----------
@@ -103,12 +100,8 @@ def lanczos_full_orth(
         Real symmetric matrix driving the recursion.
     psi0 : StateVector
         Unit seed vector in the same basis as the matrix.
-    b_tol : float
-        Halt threshold on the off-diagonal coefficient, relative to the
-        spectral scale (exact range when ``spec`` is given, a Gershgorin
-        bound otherwise).
-    spec : SpectralData, optional
-        When provided, supplies the exact spectral scale and enables the
+    spec : SpectralData
+        Eigendecomposition of ``ham``: supplies the spectral scale and the
         degeneracy gate.
     allow_degenerate : bool
         Run even when ``spec`` is flagged near-degenerate.
@@ -127,7 +120,7 @@ def lanczos_full_orth(
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     _check_degeneracy(spec, allow_degenerate)
-    scale = spec.spectral_range if spec is not None else _gershgorin_range(h)
+    scale = spec.spectral_range
     if scale == 0.0:
         scale = 1.0
 
@@ -147,7 +140,7 @@ def lanczos_full_orth(
         for _ in range(2):
             w = w - prev @ (prev.conj().T @ w)
         b_n = np.linalg.norm(w)
-        if b_n < b_tol * scale:
+        if b_n < DEFAULT_B_TOL * scale:
             halt_index = n
             break
         v = w / b_n

@@ -35,14 +35,6 @@ class DispersionConfig:
             raise ValueError(f"n0_frac must be in [0, 1), got {self.n0_frac}")
 
 
-@dataclass(frozen=True)
-class EtaCurve:
-    """Spectral chaos measure along a control-parameter grid."""
-
-    params: np.ndarray
-    eta: np.ndarray
-
-
 def r_ratio_mean(eigenvalues: np.ndarray) -> float:
     """Mean ratio of consecutive level spacings, min(s)/max(s) convention.
 

@@ -30,7 +30,6 @@ class BoundSweep:
     deltas: np.ndarray
     c_bar: np.ndarray
     bound: np.ndarray
-    model_tag: str
     delta_ok_up_to: float
 
 
@@ -106,10 +105,7 @@ def run_bound_sweep(
         delta_ok = float("nan")
     else:
         delta_ok = float(deltas[ok_prefix[0] - 1])
-    tag = f"{ham.family} D={ham.dim} j={j} profile={type(profile).__name__}"
-    return BoundSweep(
-        deltas=deltas, c_bar=c_bar, bound=bound, model_tag=tag, delta_ok_up_to=delta_ok
-    )
+    return BoundSweep(deltas=deltas, c_bar=c_bar, bound=bound, delta_ok_up_to=delta_ok)
 
 
 def overlap_scaling_check(
@@ -118,14 +114,14 @@ def overlap_scaling_check(
     profile: GaussianProfile | UniformComplement,
     delta_grid: np.ndarray,
     spec: SpectralData | None = None,
-    allow_degenerate: bool = False,
 ) -> ScalingReport:
     """Fit the small-delta scaling of |<K_n|e_j>|^2 for every n >= 1.
 
     For each delta the full Krylov basis is rebuilt and the overlap with the
     anchored eigenstate recorded; a least-squares fit of log overlap against
     log delta should give slope 2 site by site.  The quadratic coefficients
-    f_n are recovered as geometric means of overlap/delta^2.
+    f_n are recovered as geometric means of overlap/delta^2.  A
+    near-degenerate spectrum is refused (DegenerateSpectrumError).
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.size < 4:
@@ -139,7 +135,7 @@ def overlap_scaling_check(
     k_min = ham.dim
     for i, delta in enumerate(delta_grid):
         psi = state_perturbed(spec, j, profile, float(delta))
-        lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=allow_degenerate)
+        lan = lanczos_full_orth(ham, psi, spec=spec)
         k_min = min(k_min, lan.krylov_dim)
         overlaps[i, : lan.krylov_dim] = np.abs(lan.basis.conj().T @ e_j) ** 2
     n_values = np.arange(1, k_min)

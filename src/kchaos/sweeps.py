@@ -15,7 +15,7 @@ import logging
 import zlib
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ from .hamiltonians import (
     project_to_sector,
 )
 from .krylov import lanczos_full_orth, saturation
-from .measures import DispersionConfig, EtaCurve, eta, r_ratio_mean, sigma_moving
+from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
 from .states import (
     StateVector,
     select_center_states,
@@ -131,12 +131,13 @@ Family = AllUpFamily | UniformFamily | RandomFamily | EigenstatesFamily | Border
 class SweepConfig:
     """Everything a sweep needs; validated on construction.
 
-    ``n_eta`` is the chain length of the ising eta curve and resolves to
-    ``n_spins`` when not given.
+    ``param_grid`` None selects the model's default grid; an empty grid is
+    an error.  ``n_eta`` is the chain length of the ising eta curve and
+    resolves to ``n_spins`` when not given.
     """
 
     model: str
-    param_grid: np.ndarray = field(default_factory=lambda: np.empty(0))
+    param_grid: np.ndarray | None = None
     families: tuple[Family, ...] = ()
     seed: int = 0
     n_spins: int = 10
@@ -151,9 +152,9 @@ class SweepConfig:
 
     def __post_init__(self):
         default_grid, _, _ = _model_defaults(self.model)
-        grid = np.asarray(self.param_grid, dtype=float)
+        grid = np.array(default_grid if self.param_grid is None else self.param_grid, dtype=float)
         if grid.size == 0:
-            grid = default_grid.copy()
+            raise ConfigError("param_grid is empty; give at least one grid point")
         if not np.all(np.isfinite(grid)):
             raise ConfigError("param_grid must be finite")
         if self.model == "ising" and np.any(grid == 0.0):
@@ -170,6 +171,8 @@ class SweepConfig:
                 raise ConfigError("the all_up family applies to the ising model only")
             if isinstance(fam, BorderFamily) and self.model != "banded":
                 raise ConfigError("the border family applies to the banded model only")
+            if getattr(fam, "count", 1) < 1:
+                raise ConfigError(f"the {fam.label} family needs count >= 1, got {fam.count}")
         if self.n_eta is None:
             object.__setattr__(self, "n_eta", self.n_spins)
         if self.realizations < 1:
@@ -431,20 +434,12 @@ def run_banded_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 # postprocessing
 
 
-def extract_eta_curve(records: list[SweepRecord]) -> EtaCurve:
-    return EtaCurve(
-        params=np.array([r.param for r in records]),
-        eta=np.array([r.eta for r in records]),
-    )
-
-
 def _normalize_partial(col: np.ndarray, eta_col: np.ndarray) -> np.ndarray:
-    """normalize_to_eta extended to columns with nan gaps (halted members)."""
+    """normalize_to_eta extended to columns with nan gaps (halted members);
+    all nan unless at least two finite values differ."""
     from .measures import normalize_to_eta
 
     finite = np.isfinite(col)
-    if finite.all():
-        return normalize_to_eta(col, eta_col)
     out = np.full(col.shape, np.nan)
     if finite.sum() >= 2 and col[finite].max() > col[finite].min():
         out[finite] = normalize_to_eta(col[finite], eta_col[finite])

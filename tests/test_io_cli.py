@@ -9,6 +9,7 @@ from kchaos.io import (
     config_summary,
     parse_config,
     read_csv,
+    render_line_chart,
     render_svg,
     sweep_header,
     write_csv,
@@ -90,6 +91,17 @@ class TestSvg:
     def test_empty_records(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             render_svg([], ["eta"], tmp_path / "x.svg")
+
+    def test_nan_points_skipped(self, tmp_path):
+        # a halted family leaves nan points; the others keep a finite y range
+        path = tmp_path / "x.svg"
+        x = np.array([0.5, 1.0, 2.0])
+        series = [("eta", np.array([0.1, 0.5, 0.9])), ("eig", np.array([1.0, 2.0, np.nan]))]
+        render_line_chart(x, series, path)
+        body = path.read_text()
+        assert "nan" not in body
+        polylines = [ln for ln in body.splitlines() if ln.startswith("<polyline")]
+        assert [ln.count(",") for ln in polylines] == [3, 2]
 
 
 class TestConfigParsing:
@@ -221,6 +233,52 @@ class TestCli:
     def test_usage_error_exit_one(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main(["ising-sweep", "--hz-min", "0", "--hz-max", "2", "--hz-points", "3"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, config, match",
+        [
+            (["--random-count", "0"], None, "random family needs count >= 1"),
+            (["--eigen-count", "0"], None, "eig4 family needs count >= 1"),
+            (["--eigen-count", "-1"], None, "eig4 family needs count >= 1"),
+            (["--hz-min", "1", "--hz-max", "2", "--hz-points", "0"], None, "param_grid is empty"),
+            ([], "model = ising\nparam_values =\n", "param_grid is empty"),
+        ],
+        ids=["random-count-0", "eigen-count-0", "eigen-count-minus-1", "hz-points-0", "no-values"],
+    )
+    def test_rejected_sweep_input_exit_one(self, argv, config, match, tmp_path, capsys):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        base = ["ising-sweep", "--n-spins", "4", "--families", "random,eig_ref@4"]
+        assert main(base + argv + ["--out", str(tmp_path)]) == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "ising_sweep.csv").exists()
+
+    def test_repeated_grid_gives_nan_normalization(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("model = ising\nn_spins = 6\nparam_values = 1, 1\nfamilies = all_up\n")
+        assert main(["ising-sweep", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        for suffix in (".csv", ".meta.txt", "_saturation.svg", "_dispersion.svg"):
+            assert (tmp_path / f"ising_sweep{suffix}").exists(), suffix
+        records = read_csv(tmp_path / "ising_sweep.csv")
+        assert len(records) == 2
+        for rec in records:
+            st = rec.families["all_up"]
+            assert np.isfinite(st.inv_sigma_b)
+            assert np.isnan(st.inv_sigma_a_norm) and np.isnan(st.inv_sigma_b_norm)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound-sweep", "--model", "banded", "--dim", "16"],
+            ["scaling-check", "--dim", "16"],
+            ["single-run", "--model", "goe", "--dim", "16"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_only_on_sweeps(self, argv, tmp_path, capsys):
+        assert main(argv + ["--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 1
+        assert "--config" in capsys.readouterr().err
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -16,7 +16,6 @@ from kchaos import (
     build_banded_random,
     derive_seed,
     eta,
-    extract_eta_curve,
     postprocess_normalize,
     r_ratio_mean,
     run_banded_sweep,
@@ -249,12 +248,6 @@ class TestPostprocess:
         records = run_ising_sweep(small_ising_cfg(param_grid=np.array([1.0])))
         with pytest.raises(ValueError):
             postprocess_normalize(records)
-
-    def test_eta_curve_extraction(self):
-        records = run_ising_sweep(small_ising_cfg())
-        curve = extract_eta_curve(records)
-        assert np.array_equal(curve.params, HZ_GRID)
-        assert curve.eta.shape == (3,)
 
     def test_explicit_eta_column(self):
         records = run_ising_sweep(small_ising_cfg())
