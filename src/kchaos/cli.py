@@ -216,6 +216,8 @@ def _cmd_scaling_check(args) -> None:
 
 
 def _cmd_single_run(args) -> None:
+    if args.t_points < 1:
+        raise ConfigError(f"--t-points must be at least 1, got {args.t_points}")
     ham, tag = _model_from_args(args)
     spec = eigendecompose(ham)
     state_kind = args.state or ("all_up" if args.model == "ising" else "uniform")

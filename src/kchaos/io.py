@@ -255,7 +255,12 @@ CONFIG_KEYS = {
     "param_values": ConfigKey(parse_floats, into="param_grid"),
     "families": ConfigKey(str, "comma list of state families", "--families", into="families"),
     "random_count": ConfigKey(int, "random-family members", "--random-count", into="families"),
-    "eigen_count": ConfigKey(int, "eigenstate-family members", "--eigen-count", into="families"),
+    "eigen_count": ConfigKey(
+        int,
+        "eigenstate-family members; chains with N <= 6 need fewer than the default",
+        "--eigen-count",
+        into="families",
+    ),
     "n_spins": ConfigKey(int, "chain length", "--n-spins", model="ising"),
     "sector": ConfigKey(str, model="ising"),
     "n_eta": ConfigKey(int, "chain length of the eta curve", "--n-eta", model="ising"),

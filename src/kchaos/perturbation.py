@@ -128,6 +128,8 @@ def overlap_scaling_check(
         raise ValueError("need at least 4 grid points for a credible fit")
     if np.any(delta_grid <= 0) or np.any(delta_grid > 0.05):
         raise ValueError("delta grid must lie in (0, 0.05]")
+    if not 0 <= j < ham.dim:
+        raise ValueError(f"eigenstate index {j} out of range [0, {ham.dim})")
     if spec is None:
         spec = eigendecompose(ham)
     e_j = spec.eigenvectors[:, j]

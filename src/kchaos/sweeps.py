@@ -324,6 +324,12 @@ def _fixed_members(
             if cfg.model == "banded" and fam.ref_param != 0.0:
                 raise ConfigError("banded eigenstate families reference the k=0 spectrum")
             spec = reference(fam.ref_param)[0]
+            if fam.count > spec.dim:
+                raise ConfigError(
+                    f"the {fam.label} family needs {fam.count} eigenstates but the spectrum "
+                    f"has dimension {spec.dim}; set --eigen-count (eigen_count) to at most "
+                    f"{spec.dim}"
+                )
             pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
         elif fam.ref_param is None:
             pairs = None

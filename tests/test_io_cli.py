@@ -254,6 +254,16 @@ class TestCli:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "ising_sweep.csv").exists()
 
+    def test_default_eigen_family_larger_than_small_chain(self, tmp_path, capsys):
+        # the N=6 even sector has dimension 36, below the default 40 members
+        argv = ["ising-sweep", "--n-spins", "6", "--hz-min", "1", "--hz-max", "2"]
+        argv += ["--hz-points", "2", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "eig4 family needs 40 eigenstates" in err and "--eigen-count" in err
+        assert not (tmp_path / "ising_sweep.csv").exists()
+        assert main(argv + ["--eigen-count", "36"]) == 0
+
     def test_repeated_grid_gives_nan_normalization(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("model = ising\nn_spins = 6\nparam_values = 1, 1\nfamilies = all_up\n")
@@ -338,6 +348,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "median slope" in out
 
+    def test_scaling_check_index_out_of_range(self, tmp_path, capsys):
+        argv = ["scaling-check", "--dim", "16", "--j", "99", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "eigenstate index 99 out of range [0, 16)" in capsys.readouterr().err
+
     def test_bound_sweep_ising_model(self, tmp_path, capsys):
         code = main(
             [
@@ -369,6 +384,17 @@ class TestCli:
         code = main(["scaling-check", "--dim", "32", "--profile", "gaussian"])
         assert code == 1
         assert "--center" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_points", ["0", "-5"])
+    def test_single_run_t_points_below_one(self, t_points, tmp_path, capsys, monkeypatch):
+        def no_eigh(ham):
+            raise AssertionError("eigendecomposition ran before --t-points was checked")
+
+        monkeypatch.setattr("kchaos.cli.eigendecompose", no_eigh)
+        argv = ["single-run", "--model", "goe", "--dim", "16", "--t-points", t_points]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "--t-points must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "single_run.csv").exists()
 
     def test_single_run_goe(self, tmp_path, capsys):
         code = main(

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import assert_lanczos_structure
+from conftest import assert_lanczos_structure, lanczos_reference
 from kchaos import (
     ComplexityCurve,
     DegenerateSpectrumError,
     NumericalError,
     StateVector,
+    UniformComplement,
     build_goe,
     build_ising_full,
     complexity_curve,
@@ -20,12 +21,16 @@ from kchaos import (
     project_to_sector,
     saturation,
     state_all_up,
+    select_center_states,
     state_eigenstate,
+    state_perturbed,
     state_random,
     state_uniform_eigenbasis,
     tight_binding_propagate,
     time_average_complexity,
 )
+from kchaos.krylov import SPARSE_MAX_DENSITY
+from kchaos.sweeps import banded_hamiltonian, ising_hamiltonian
 
 
 def two_level():
@@ -109,6 +114,108 @@ class TestLanczos:
         lan = lanczos_full_orth(ham, psi, spec=spec)
         assert lan.krylov_dim == 16
         assert_lanczos_structure(ham, spec, lan)
+
+
+def _ising_case(n_spins, seed_kind):
+    ham = ising_hamiltonian(n_spins, 0.5, "even")
+    if seed_kind == "all_up":
+        psi = state_all_up(parity_basis(n_spins, "even"))
+    elif seed_kind == "eig_ref":
+        ref = eigendecompose(ising_hamiltonian(n_spins, 4.0, "even"))
+        psi = state_eigenstate(ref, select_center_states(ref, 1)[0])
+    else:
+        psi = state_random(ham.dim, 21)
+    return ham, psi
+
+
+def _banded_case(k, seed_kind):
+    ref = eigendecompose(banded_hamiltonian(64, 0.2, 0.0, 3))
+    index = 0 if seed_kind == "border" else select_center_states(ref, 1)[0]
+    return banded_hamiltonian(64, 0.2, k, 3), state_eigenstate(ref, index)
+
+
+def _complex_seed(dim):
+    rng = np.random.default_rng(10)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return StateVector(v / np.linalg.norm(v))
+
+
+def _complex_goe_case():
+    return build_goe(48, 9), _complex_seed(48)
+
+
+def _complex_ising_case():
+    ham = ising_hamiltonian(9, 0.5, "even")
+    return ham, _complex_seed(ham.dim)
+
+
+def _halted_case():
+    ham = build_goe(24, 5)
+    coeffs = np.zeros(24)
+    coeffs[:4] = np.random.default_rng(8).standard_normal(4)
+    vecs = eigendecompose(ham).eigenvectors
+    return ham, StateVector(vecs @ (coeffs / np.linalg.norm(coeffs)))
+
+
+def _perturbed_case():
+    ham = banded_hamiltonian(64, 0.2, 0.125, 4)
+    return ham, state_perturbed(eigendecompose(ham), 10, UniformComplement(), 1e-3)
+
+
+def _eigenstate_case():
+    ham = build_goe(32, 6)
+    return ham, state_eigenstate(eigendecompose(ham), 7)
+
+
+# (builder, whether H is at most SPARSE_MAX_DENSITY nonzero)
+REFERENCE_CASES = {
+    "ising9-all_up": (lambda: _ising_case(9, "all_up"), True),
+    "ising9-eig_ref": (lambda: _ising_case(9, "eig_ref"), True),
+    "ising9-random": (lambda: _ising_case(9, "random"), True),
+    "ising8-all_up": (lambda: _ising_case(8, "all_up"), False),
+    "ising8-eig_ref": (lambda: _ising_case(8, "eig_ref"), False),
+    "ising8-random": (lambda: _ising_case(8, "random"), False),
+    "banded-k5e-4-border": (lambda: _banded_case(5e-4, "border"), False),
+    "banded-k5e-4-eig0": (lambda: _banded_case(5e-4, "eig0"), False),
+    "banded-k1-border": (lambda: _banded_case(1.0, "border"), False),
+    "goe-complex": (_complex_goe_case, False),
+    "ising9-complex": (_complex_ising_case, True),
+    "goe-halted-4": (_halted_case, False),
+    "banded-perturbed-1e-3": (_perturbed_case, False),
+    "goe-eigenstate": (_eigenstate_case, False),
+}
+
+
+class TestAgainstReference:
+    """The production kernel against the two-pass dense oracle."""
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_matches_reference(self, case):
+        build, sparse = REFERENCE_CASES[case]
+        ham, psi = build()
+        assert (np.count_nonzero(ham.matrix) <= SPARSE_MAX_DENSITY * ham.dim**2) == sparse
+        spec = eigendecompose(ham)
+        lan = lanczos_full_orth(ham, psi, spec=spec)
+        ref = lanczos_reference(ham, psi, spec)
+        tol = 1e-8 * spec.spectral_range
+        assert lan.krylov_dim == ref.krylov_dim
+        assert lan.halt_index == ref.halt_index
+        assert np.max(np.abs(lan.a - ref.a)) <= tol
+        assert np.max(np.abs(lan.b - ref.b), initial=0.0) <= tol
+        c_bar = saturation(spec, lan, psi).c_bar
+        c_ref = saturation(spec, ref, psi).c_bar
+        assert abs(c_bar - c_ref) <= 1e-10 * abs(c_ref)
+        assert lan.ortho_residual <= 1e-13
+
+    def test_sparse_path_with_empty_row(self):
+        # row 0 of diag(0, ..., 1) has no nonzero entry
+        ham = hamiltonian_from_matrix(np.diag(np.linspace(0.0, 1.0, 64)))
+        assert np.count_nonzero(ham.matrix) <= SPARSE_MAX_DENSITY * ham.dim**2
+        spec = eigendecompose(ham)
+        lan = lanczos_full_orth(ham, state_random(64, 4), spec=spec)
+        assert lan.krylov_dim == 64
+        projected = lan.basis.T @ ham.matrix @ lan.basis
+        assert np.max(np.abs(projected - lan.tridiagonal())) <= 1e-12
 
 
 class TestAmplitudes:
