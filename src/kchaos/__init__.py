@@ -18,11 +18,10 @@ from .hamiltonians import (
     SpectralData,
     build_banded_random,
     build_goe,
-    build_ising_full,
+    build_ising_sector,
     eigendecompose,
     hamiltonian_from_matrix,
     parity_basis,
-    project_to_sector,
 )
 from .krylov import (
     ComplexityCurve,

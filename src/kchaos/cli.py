@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .hamiltonians import build_goe, eigendecompose, parity_basis
+from .hamiltonians import build_goe, build_ising_sector, eigendecompose, parity_basis
 from .io import (
     CONFIG_KEYS,
     build_sweep_config,
@@ -40,7 +40,6 @@ from .states import (
 )
 from .sweeps import (
     banded_hamiltonian,
-    ising_hamiltonian,
     postprocess_normalize,
     run_banded_sweep,
     run_ising_sweep,
@@ -169,7 +168,7 @@ def _model_from_args(args):
     """The Hamiltonian named by the model flags, and its tag for titles."""
     seed = args.seed or 0
     if args.model == "ising":
-        ham = ising_hamiltonian(args.n_spins, args.hz, args.sector)
+        ham = build_ising_sector(args.n_spins, args.hz, args.sector)
         return ham, f"ising N={args.n_spins} {args.sector} hz={args.hz:g}"
     if args.model == "banded":
         ham = banded_hamiltonian(args.dim, args.bandwidth_frac, args.k, seed)

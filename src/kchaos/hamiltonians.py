@@ -9,17 +9,23 @@ diagonalized directly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
 
-# Dense-matrix cap for the spin chain: 2^14 = 16384 sites is the largest
-# dimension that is still comfortable on a workstation.
+# Chain-length cap, which bounds the sector dimension: the N=14 even sector
+# (dimension 8256) is a 545 MB dense matrix, the largest whose eigensolve
+# still fits a 7 GiB machine.
 MAX_SPINS = 14
 
 SYMMETRY_TOL = 1e-12
+# H is applied through its nonzero entries when at most this share is nonzero;
+# dense gemv wins above 5-10% density for D = 256-2080
+SPARSE_MAX_DENSITY = 0.05
 
 
 @dataclass(frozen=True)
@@ -29,6 +35,30 @@ class Hamiltonian:
     matrix: np.ndarray
     dim: int
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> matrix @ x``, through the nonzero entries when the matrix is
+        sparse enough; built once and shared by every run on this matrix.
+
+        Below ``SPARSE_MAX_DENSITY`` the row sums are accumulated with
+        ``bincount``, which also handles rows without any nonzero entry.
+        ``count_nonzero`` runs before the index arrays are built so a dense
+        matrix never pays for them.
+        """
+        h, dim = self.matrix, self.dim
+        if np.count_nonzero(h) > SPARSE_MAX_DENSITY * dim * dim:
+            return h.__matmul__
+        rows, cols = np.nonzero(h)
+        vals = h[rows, cols]
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            y = vals * x[cols]
+            if np.iscomplexobj(y):
+                return np.bincount(rows, y.real, dim) + 1j * np.bincount(rows, y.imag, dim)
+            return np.bincount(rows, weights=y, minlength=dim)
+
+        return apply
 
 
 @dataclass(frozen=True)
@@ -68,40 +98,16 @@ class ParityBasis:
     n_spins: int
     sector: str
     representatives: np.ndarray
-    partners: np.ndarray
     palindrome: np.ndarray
     dim: int
-
-    def dense_matrix(self) -> np.ndarray:
-        """Embedding matrix P (2^N x dim) with the sector basis as columns."""
-        full_dim = 2**self.n_spins
-        p = np.zeros((full_dim, self.dim))
-        w_rep, w_par = self._weights()
-        p[self.representatives, np.arange(self.dim)] = w_rep
-        # palindromes have partner == representative and w_par == 0
-        p[self.partners, np.arange(self.dim)] += w_par
-        return p
-
-    def embed(self, sector_vec: np.ndarray) -> np.ndarray:
-        """Lift a sector-basis vector to the full 2^N computational basis."""
-        full = np.zeros(2**self.n_spins, dtype=np.asarray(sector_vec).dtype)
-        w_rep, w_par = self._weights()
-        full[self.representatives] += w_rep * sector_vec
-        np.add.at(full, self.partners, w_par * sector_vec)
-        return full
-
-    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
-        sign = 1.0 if self.sector == "even" else -1.0
-        w_rep = np.where(self.palindrome, 1.0, 1.0 / np.sqrt(2.0))
-        w_par = np.where(self.palindrome, 0.0, sign / np.sqrt(2.0))
-        return w_rep, w_par
 
 
 def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
     matrix = np.ascontiguousarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    resid = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    diff = matrix - matrix.T
+    resid = float(np.max(np.abs(diff, out=diff))) if matrix.size else 0.0
     if resid > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |H - H^T| = {resid:.3e}")
     matrix.setflags(write=False)
@@ -113,42 +119,11 @@ def hamiltonian_from_matrix(matrix: np.ndarray) -> Hamiltonian:
     return _as_hamiltonian(np.array(matrix, dtype=float), {"family": "custom"})
 
 
-def build_ising_full(n_spins: int, h_z: float) -> Hamiltonian:
-    """Open Ising chain with transverse+longitudinal field, full 2^N basis.
-
-    H = sum_i (sx_i + h_z sz_i) - sum_i sz_i sz_{i+1}
-
-    Computational-basis convention: spin ``i`` (0-based from the left end)
-    lives on bit ``N-1-i`` of the index, bit value 0 meaning spin up, so the
-    all-up state is index 0.
-    """
-    if n_spins < 1:
-        raise ValueError("n_spins must be >= 1")
-    if n_spins > MAX_SPINS:
-        raise ValueError(
-            f"n_spins = {n_spins} exceeds the dense-matrix cap of {MAX_SPINS}"
-        )
-    dim = 2**n_spins
-    idx = np.arange(dim)
-    # sz eigenvalue per site: +1 for bit 0 (up), -1 for bit 1 (down)
-    sz = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n_spins - 1, -1, -1)[None, :]) & 1)
-    diag = h_z * sz.sum(axis=1) - (sz[:, :-1] * sz[:, 1:]).sum(axis=1)
-    h = np.zeros((dim, dim))
-    h[idx, idx] = diag
-    for site in range(n_spins):
-        flipped = idx ^ (1 << (n_spins - 1 - site))
-        h[idx, flipped] += 1.0
-    return _as_hamiltonian(
-        h, {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": None}
-    )
-
-
-def _reflect_indices(n_spins: int) -> np.ndarray:
-    """Index permutation of the chain-reflection operator (bit reversal)."""
-    idx = np.arange(2**n_spins)
-    rev = np.zeros_like(idx)
+def _reflect(states: np.ndarray, n_spins: int) -> np.ndarray:
+    """Chain reflection of computational-basis indices (bit reversal)."""
+    rev = np.zeros_like(states)
     for b in range(n_spins):
-        rev |= ((idx >> b) & 1) << (n_spins - 1 - b)
+        rev |= ((states >> b) & 1) << (n_spins - 1 - b)
     return rev
 
 
@@ -156,48 +131,70 @@ def parity_basis(n_spins: int, sector: str) -> ParityBasis:
     """Symmetry-adapted basis of the even or odd reflection sector."""
     if n_spins < 1:
         raise ValueError("n_spins must be >= 1")
+    if n_spins > MAX_SPINS:
+        raise ValueError(f"n_spins = {n_spins} exceeds the cap of {MAX_SPINS} spins")
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    rev = _reflect_indices(n_spins)
     idx = np.arange(2**n_spins)
-    if sector == "even":
-        keep = idx <= rev
-    else:
-        keep = idx < rev
+    rev = _reflect(idx, n_spins)
+    keep = idx <= rev if sector == "even" else idx < rev
     reps = idx[keep]
-    partners = rev[keep]
-    palindrome = reps == partners
     return ParityBasis(
         n_spins=n_spins,
         sector=sector,
         representatives=reps,
-        partners=partners,
-        palindrome=palindrome,
+        palindrome=reps == rev[keep],
         dim=int(reps.size),
     )
 
 
-def project_to_sector(ham: Hamiltonian, basis: ParityBasis) -> Hamiltonian:
-    """Restrict a full-chain Hamiltonian to one reflection-parity sector.
+def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
+    """Open Ising chain with transverse+longitudinal field in one parity sector.
 
-    The result is the ``dim x dim`` matrix of H in the symmetry-adapted
-    basis; the full spectrum is the disjoint union of the two sector spectra.
+    H = sum_i (sx_i + h_z sz_i) - sum_i sz_i sz_{i+1}
+
+    is written directly in the basis of ``parity_basis(n_spins, sector)``;
+    the full spectrum is the disjoint union of the two sector spectra.
+    Computational-basis convention: spin ``i`` (0-based from the left end)
+    lives on bit ``N-1-i`` of the index, bit value 0 meaning spin up, so the
+    all-up state is index 0.
+
+    The field and coupling terms are diagonal and reflection-invariant, so
+    they are read off each orbit representative.  Flipping one spin of a
+    column's representative gives a state ``t`` whose orbit representative
+    ``min(t, R t)`` names the row (A. W. Sandvik, AIP Conf. Proc. 1297, 135,
+    2010, sec. 4).  The entry is 1 between two orbit pairs, times the sector
+    sign when ``t`` is the reflected member of its pair; sqrt(2) between a
+    palindrome and a pair in the even sector, where the palindromic column
+    reaches the pair through two mirror sites and the palindromic row through
+    one; 0 from a pair into a palindrome in the odd sector; and 1 between two
+    palindromes.  Both sides of a palindrome entry are built from the one
+    constant sqrt(2)/2, so the matrix is exactly symmetric.
     """
-    if ham.dim != 2**basis.n_spins:
-        raise ValueError(
-            f"dimension mismatch: H is {ham.dim}, basis expects {2**basis.n_spins}"
-        )
+    basis = parity_basis(n_spins, sector)
     if basis.dim == 0:
-        raise ValueError(f"the {basis.sector} sector of N={basis.n_spins} is empty")
-    w_rep, w_par = basis._weights()
-    h = ham.matrix
-    # (H P) built column-wise from at most two source columns each
-    hp = h[:, basis.representatives] * w_rep + h[:, basis.partners] * w_par
-    hs = w_rep[:, None] * hp[basis.representatives, :] + w_par[:, None] * hp[basis.partners, :]
-    hs = 0.5 * (hs + hs.T)
-    meta = dict(ham.meta)
-    meta["sector"] = basis.sector
-    return _as_hamiltonian(hs, meta)
+        raise ValueError(f"the {sector} sector of N={n_spins} is empty")
+    reps, pal_col = basis.representatives, basis.palindrome
+    # sz eigenvalue per site: +1 for bit 0 (up), -1 for bit 1 (down)
+    sz = 1.0 - 2.0 * ((reps[:, None] >> np.arange(n_spins - 1, -1, -1)[None, :]) & 1)
+    h = np.diag(h_z * sz.sum(axis=1) - (sz[:, :-1] * sz[:, 1:]).sum(axis=1))
+    sign = 1.0 if sector == "even" else -1.0
+    r = 0.5 * np.sqrt(2.0)
+    cols = np.arange(basis.dim)
+    for bit in range(n_spins):
+        t = reps ^ (1 << bit)
+        t_rev = _reflect(t, n_spins)
+        vals = np.where(
+            t == t_rev,
+            (1.0 + sign) * np.where(pal_col, 0.5, r),
+            np.where(pal_col, r, np.where(t < t_rev, 1.0, sign)),
+        )
+        keep = vals != 0.0
+        rows = np.searchsorted(reps, np.minimum(t, t_rev)[keep])
+        np.add.at(h, (rows, cols[keep]), vals[keep])
+    return _as_hamiltonian(
+        h, {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": sector}
+    )
 
 
 def _draw_banded_symmetric(dim: int, bandwidth: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,9 +23,6 @@ DEFAULT_B_TOL = 1e-12
 DEFAULT_ORTHO_TOL = 1e-10
 # a Gram-Schmidt pass is repeated when it leaves less than this share of the norm
 DGKS_RATIO = 1.0 / np.sqrt(2.0)
-# H is applied through its nonzero entries when at most this share is nonzero;
-# dense gemv wins above 5-10% density for D = 256-2080
-SPARSE_MAX_DENSITY = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,29 +86,6 @@ def _check_degeneracy(spec: SpectralData, allow_degenerate: bool) -> None:
         )
 
 
-def _matvec(h: np.ndarray):
-    """``x -> h @ x``, through the nonzero entries when ``h`` is sparse enough.
-
-    Below ``SPARSE_MAX_DENSITY`` the row sums are accumulated with
-    ``bincount``, which also handles rows without any nonzero entry.
-    ``count_nonzero`` runs before the index arrays are built so a dense
-    matrix never pays for them.
-    """
-    dim = h.shape[0]
-    if np.count_nonzero(h) > SPARSE_MAX_DENSITY * dim * dim:
-        return h.__matmul__
-    rows, cols = np.nonzero(h)
-    vals = h[rows, cols]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = vals * x[cols]
-        if np.iscomplexobj(y):
-            return np.bincount(rows, y.real, dim) + 1j * np.bincount(rows, y.imag, dim)
-        return np.bincount(rows, weights=y, minlength=dim)
-
-    return apply
-
-
 def lanczos_full_orth(
     ham: Hamiltonian,
     psi0: StateVector,
@@ -156,7 +130,7 @@ def lanczos_full_orth(
     scale = spec.spectral_range
     if scale == 0.0:
         scale = 1.0
-    apply_h = _matvec(ham.matrix)
+    apply_h = ham.matvec
 
     dtype = complex if np.iscomplexobj(v) else float
     # Krylov vectors are the rows, so each projection reads contiguous memory

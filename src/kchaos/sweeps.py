@@ -25,10 +25,9 @@ from .hamiltonians import (
     Hamiltonian,
     SpectralData,
     build_banded_random,
-    build_ising_full,
+    build_ising_sector,
     eigendecompose,
     parity_basis,
-    project_to_sector,
 )
 from .krylov import lanczos_full_orth, saturation
 from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
@@ -252,11 +251,6 @@ class SweepRecord:
 # models
 
 
-def ising_hamiltonian(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
-    """Ising chain at field ``h_z`` restricted to one reflection-parity sector."""
-    return project_to_sector(build_ising_full(n_spins, h_z), parity_basis(n_spins, sector))
-
-
 def banded_hamiltonian(dim: int, bandwidth_frac: float, k: float, seed: int) -> Hamiltonian:
     """Banded model at coupling ``k`` with bandwidth ``bandwidth_frac * dim``, rounded."""
     bandwidth = max(1, min(dim - 1, round(bandwidth_frac * dim)))
@@ -279,10 +273,10 @@ def _model(cfg: SweepConfig) -> _Model:
         return _Model(
             param_name="h_z",
             realizations=1,
-            hamiltonian=lambda h_z, r: ising_hamiltonian(cfg.n_spins, h_z, cfg.sector),
+            hamiltonian=lambda h_z, r: build_ising_sector(cfg.n_spins, h_z, cfg.sector),
             eta_hamiltonian=None
             if cfg.n_eta == cfg.n_spins
-            else lambda h_z: ising_hamiltonian(cfg.n_eta, h_z, cfg.sector),
+            else lambda h_z: build_ising_sector(cfg.n_eta, h_z, cfg.sector),
         )
     # each realization draws one (H0, V) pair traced through the whole grid
     seeds = [derive_seed(cfg.seed, "matrix", r) for r in range(cfg.realizations)]

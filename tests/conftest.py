@@ -2,7 +2,91 @@ import numpy as np
 import pytest
 
 from kchaos import eigendecompose
+from kchaos.hamiltonians import MAX_SPINS, _as_hamiltonian, _reflect
 from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
+
+
+def build_ising_full(n_spins, h_z):
+    """Open Ising chain with transverse+longitudinal field, full 2^N basis:
+    with ``project_to_sector``, the oracle for ``build_ising_sector``.
+
+    H = sum_i (sx_i + h_z sz_i) - sum_i sz_i sz_{i+1}
+
+    Computational-basis convention: spin ``i`` (0-based from the left end)
+    lives on bit ``N-1-i`` of the index, bit value 0 meaning spin up, so the
+    all-up state is index 0.
+    """
+    if n_spins < 1:
+        raise ValueError("n_spins must be >= 1")
+    if n_spins > MAX_SPINS:
+        raise ValueError(
+            f"n_spins = {n_spins} exceeds the dense-matrix cap of {MAX_SPINS}"
+        )
+    dim = 2**n_spins
+    idx = np.arange(dim)
+    # sz eigenvalue per site: +1 for bit 0 (up), -1 for bit 1 (down)
+    sz = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n_spins - 1, -1, -1)[None, :]) & 1)
+    diag = h_z * sz.sum(axis=1) - (sz[:, :-1] * sz[:, 1:]).sum(axis=1)
+    h = np.zeros((dim, dim))
+    h[idx, idx] = diag
+    for site in range(n_spins):
+        flipped = idx ^ (1 << (n_spins - 1 - site))
+        h[idx, flipped] += 1.0
+    return _as_hamiltonian(
+        h, {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": None}
+    )
+
+
+def _weights(basis):
+    """Each sector basis element's representative and partner indices in the
+    full basis, with their coefficients."""
+    partners = _reflect(basis.representatives, basis.n_spins)
+    sign = 1.0 if basis.sector == "even" else -1.0
+    w_rep = np.where(basis.palindrome, 1.0, 1.0 / np.sqrt(2.0))
+    w_par = np.where(basis.palindrome, 0.0, sign / np.sqrt(2.0))
+    return basis.representatives, partners, w_rep, w_par
+
+
+def dense_matrix(basis):
+    """Embedding matrix P (2^N x dim) with the sector basis as columns."""
+    reps, partners, w_rep, w_par = _weights(basis)
+    p = np.zeros((2**basis.n_spins, basis.dim))
+    p[reps, np.arange(basis.dim)] = w_rep
+    # palindromes have partner == representative and w_par == 0
+    p[partners, np.arange(basis.dim)] += w_par
+    return p
+
+
+def embed(basis, sector_vec):
+    """Lift a sector-basis vector to the full 2^N computational basis."""
+    reps, partners, w_rep, w_par = _weights(basis)
+    full = np.zeros(2**basis.n_spins, dtype=np.asarray(sector_vec).dtype)
+    full[reps] += w_rep * sector_vec
+    np.add.at(full, partners, w_par * sector_vec)
+    return full
+
+
+def project_to_sector(ham, basis):
+    """Restrict a full-chain Hamiltonian to one reflection-parity sector.
+
+    The result is the ``dim x dim`` matrix of H in the symmetry-adapted
+    basis; the full spectrum is the disjoint union of the two sector spectra.
+    """
+    if ham.dim != 2**basis.n_spins:
+        raise ValueError(
+            f"dimension mismatch: H is {ham.dim}, basis expects {2**basis.n_spins}"
+        )
+    if basis.dim == 0:
+        raise ValueError(f"the {basis.sector} sector of N={basis.n_spins} is empty")
+    reps, partners, w_rep, w_par = _weights(basis)
+    h = ham.matrix
+    # (H P) built column-wise from at most two source columns each
+    hp = h[:, reps] * w_rep + h[:, partners] * w_par
+    hs = w_rep[:, None] * hp[reps, :] + w_par[:, None] * hp[partners, :]
+    hs = 0.5 * (hs + hs.T)
+    meta = dict(ham.meta)
+    meta["sector"] = basis.sector
+    return _as_hamiltonian(hs, meta)
 
 
 def lanczos_reference(ham, psi0, spec):

@@ -18,7 +18,7 @@ from kchaos import (
     UniformFamily,
     build_banded_random,
     build_goe,
-    build_ising_full,
+    build_ising_sector,
     complexity_values,
     eigendecompose,
     eta,
@@ -28,7 +28,6 @@ from kchaos import (
     overlap_scaling_check,
     parity_basis,
     postprocess_normalize,
-    project_to_sector,
     r_ratio_mean,
     run_banded_sweep,
     run_bound_sweep,
@@ -59,7 +58,7 @@ def report(number, name, ok, detail=""):
 
 
 def ising_sector(n_spins, h_z):
-    return project_to_sector(build_ising_full(n_spins, h_z), parity_basis(n_spins, "even"))
+    return build_ising_sector(n_spins, h_z, "even")
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +192,7 @@ def test_c04_lanczos_structural_invariants(
 
 def test_c05_propagator_cross_check():
     basis = parity_basis(6, "even")
-    ham = project_to_sector(build_ising_full(6, 1.02), basis)
+    ham = build_ising_sector(6, 1.02, "even")
     spec = eigendecompose(ham)
     psi = state_all_up(basis)
     lan = lanczos_full_orth(ham, psi, spec=spec)

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import build_ising_full, dense_matrix, project_to_sector
 from kchaos import (
     build_banded_random,
     build_goe,
-    build_ising_full,
+    build_ising_sector,
     eigendecompose,
     hamiltonian_from_matrix,
     parity_basis,
-    project_to_sector,
 )
 
 
@@ -59,13 +61,13 @@ class TestParityBasis:
     def test_two_spin_sector_content(self):
         basis = parity_basis(2, "even")
         assert basis.dim == 3
-        p = basis.dense_matrix()
+        p = dense_matrix(basis)
         s = 1 / np.sqrt(2)
         expected = np.array([[1, 0, 0], [0, s, 0], [0, s, 0], [0, 0, 1]])
         assert np.allclose(p, expected)
         odd = parity_basis(2, "odd")
         assert odd.dim == 1
-        assert np.allclose(odd.dense_matrix()[:, 0], [0, s, -s, 0])
+        assert np.allclose(dense_matrix(odd)[:, 0], [0, s, -s, 0])
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_counting_formula(self, n):
@@ -80,7 +82,7 @@ class TestParityBasis:
 
     def test_orthonormal_columns(self):
         basis = parity_basis(5, "odd")
-        p = basis.dense_matrix()
+        p = dense_matrix(basis)
         assert np.allclose(p.T @ p, np.eye(basis.dim), atol=1e-14)
 
     def test_bad_sector(self):
@@ -119,6 +121,51 @@ class TestProjection:
     def test_empty_sector(self):
         with pytest.raises(ValueError, match="empty"):
             project_to_sector(build_ising_full(1, 1.0), parity_basis(1, "odd"))
+
+
+class TestIsingSector:
+    @pytest.mark.parametrize(
+        "n,sector",
+        [(1, "even")] + [(n, sector) for n in range(2, 12) for sector in ("even", "odd")],
+    )
+    def test_matches_projected_full_chain(self, n, sector):
+        basis = parity_basis(n, sector)
+        for h_z in (0.25, 1.02, 4.0):
+            ham = build_ising_sector(n, h_z, sector)
+            ref = project_to_sector(build_ising_full(n, h_z), basis).matrix
+            assert ham.dim == basis.dim
+            assert np.max(np.abs(ham.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(ham.matrix != 0, ref != 0)
+            assert np.array_equal(ham.matrix, ham.matrix.T)
+            assert ham.meta == {"family": "ising", "n_spins": n, "h_z": h_z, "sector": sector}
+
+    def test_two_spin_hand_oracle(self):
+        # uu, (ud+du)/sqrt2, dd: the pair couples to each palindrome by sqrt2;
+        # in the odd sector both flips land on palindromes and drop out
+        r2 = np.sqrt(2)
+        expected = np.array([[-1, r2, 0], [r2, 1, r2], [0, r2, -1]])
+        assert np.array_equal(build_ising_sector(2, 0.0, "even").matrix, expected)
+        assert np.array_equal(build_ising_sector(2, 0.0, "odd").matrix, [[1.0]])
+
+    def test_cap_and_empty_sector(self):
+        with pytest.raises(ValueError, match="cap"):
+            build_ising_sector(15, 1.0, "even")
+        with pytest.raises(ValueError):
+            build_ising_sector(0, 1.0, "even")
+        with pytest.raises(ValueError, match="empty"):
+            build_ising_sector(1, 1.0, "odd")
+
+    def test_peak_memory_is_sector_sized(self):
+        # the full 2^12 x 2^12 chain alone would be 134 MB; the sector matrix
+        # (D = 2080) is 34.6 MB and the build may hold at most two more
+        dim = parity_basis(12, "even").dim
+        tracemalloc.start()
+        try:
+            build_ising_sector(12, 1.0, "even")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * dim**2
 
 
 class TestBandedRandom:

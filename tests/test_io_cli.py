@@ -242,8 +242,13 @@ class TestCli:
             (["--eigen-count", "-1"], None, "eig4 family needs count >= 1"),
             (["--hz-min", "1", "--hz-max", "2", "--hz-points", "0"], None, "param_grid is empty"),
             ([], "model = ising\nparam_values =\n", "param_grid is empty"),
+            # rejected before any 2^N array is allocated
+            (["--n-spins", "40"], None, "exceeds the cap of 14 spins"),
         ],
-        ids=["random-count-0", "eigen-count-0", "eigen-count-minus-1", "hz-points-0", "no-values"],
+        ids=[
+            "random-count-0", "eigen-count-0", "eigen-count-minus-1", "hz-points-0", "no-values",
+            "n-spins-40",
+        ],
     )
     def test_rejected_sweep_input_exit_one(self, argv, config, match, tmp_path, capsys):
         if config is not None:

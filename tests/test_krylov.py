@@ -9,7 +9,7 @@ from kchaos import (
     StateVector,
     UniformComplement,
     build_goe,
-    build_ising_full,
+    build_ising_sector,
     complexity_curve,
     complexity_values,
     default_time_grid,
@@ -18,7 +18,6 @@ from kchaos import (
     krylov_amplitudes,
     lanczos_full_orth,
     parity_basis,
-    project_to_sector,
     saturation,
     state_all_up,
     select_center_states,
@@ -29,8 +28,8 @@ from kchaos import (
     tight_binding_propagate,
     time_average_complexity,
 )
-from kchaos.krylov import SPARSE_MAX_DENSITY
-from kchaos.sweeps import banded_hamiltonian, ising_hamiltonian
+from kchaos.hamiltonians import SPARSE_MAX_DENSITY
+from kchaos.sweeps import banded_hamiltonian
 
 
 def two_level():
@@ -117,11 +116,11 @@ class TestLanczos:
 
 
 def _ising_case(n_spins, seed_kind):
-    ham = ising_hamiltonian(n_spins, 0.5, "even")
+    ham = build_ising_sector(n_spins, 0.5, "even")
     if seed_kind == "all_up":
         psi = state_all_up(parity_basis(n_spins, "even"))
     elif seed_kind == "eig_ref":
-        ref = eigendecompose(ising_hamiltonian(n_spins, 4.0, "even"))
+        ref = eigendecompose(build_ising_sector(n_spins, 4.0, "even"))
         psi = state_eigenstate(ref, select_center_states(ref, 1)[0])
     else:
         psi = state_random(ham.dim, 21)
@@ -145,7 +144,7 @@ def _complex_goe_case():
 
 
 def _complex_ising_case():
-    ham = ising_hamiltonian(9, 0.5, "even")
+    ham = build_ising_sector(9, 0.5, "even")
     return ham, _complex_seed(ham.dim)
 
 
@@ -235,7 +234,7 @@ class TestAmplitudes:
 
     def test_unitarity_ising(self):
         basis = parity_basis(6, "even")
-        ham = project_to_sector(build_ising_full(6, 1.02), basis)
+        ham = build_ising_sector(6, 1.02, "even")
         spec = eigendecompose(ham)
         psi = state_all_up(basis)
         lan = lanczos_full_orth(ham, psi, spec=spec)
@@ -403,7 +402,7 @@ class TestTimeAverage:
 
     def test_converges_to_saturation_ising(self):
         basis = parity_basis(6, "even")
-        ham = project_to_sector(build_ising_full(6, 1.02), basis)
+        ham = build_ising_sector(6, 1.02, "even")
         spec = eigendecompose(ham)
         psi = state_all_up(basis)
         lan = lanczos_full_orth(ham, psi, spec=spec)

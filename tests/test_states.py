@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import embed
 from kchaos import (
     GaussianProfile,
     UniformComplement,
@@ -31,7 +32,7 @@ class TestAllUp:
 
     def test_embeds_to_full_all_up(self):
         basis = parity_basis(5, "even")
-        full = basis.embed(state_all_up(basis).amplitudes)
+        full = embed(basis, state_all_up(basis).amplitudes)
         expected = np.zeros(32)
         expected[0] = 1.0
         assert np.allclose(full, expected, atol=1e-14)
