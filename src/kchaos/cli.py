@@ -39,6 +39,7 @@ from .states import (
     state_uniform_eigenbasis,
 )
 from .sweeps import (
+    MODELS,
     banded_hamiltonian,
     postprocess_normalize,
     run_banded_sweep,
@@ -62,8 +63,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False, parents=[out])
     common.add_argument("--seed", type=int, help="master seed")
 
-    for model, what in (("ising", "spin-chain h_z sweep"), ("banded", "banded-model k sweep")):
-        p = sub.add_parser(f"{model}-sweep", parents=[out], help=what)
+    for model, entry in MODELS.items():
+        p = sub.add_parser(f"{model}-sweep", parents=[out], help=entry.help)
         p.add_argument("--config", type=Path, help="flat key=value config file")
         for key, spec in CONFIG_KEYS.items():
             flag = spec.flag_for(model)
@@ -136,7 +137,8 @@ def _cmd_sweep(args) -> None:
     """Config-file pairs overlaid with the flags given, swept and written out."""
     model = args.sweep_model
     pairs = read_config_pairs(args.config) if args.config else {}
-    pairs["model"] = model
+    if pairs.setdefault("model", model) != model:
+        raise ConfigError(f"{args.config} is for the {pairs['model']} model, not {model}")
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -217,6 +219,7 @@ def _cmd_scaling_check(args) -> None:
 def _cmd_single_run(args) -> None:
     if args.t_points < 1:
         raise ConfigError(f"--t-points must be at least 1, got {args.t_points}")
+    disp = DispersionConfig(w_frac=args.w_frac, n0_frac=args.n0_frac)
     ham, tag = _model_from_args(args)
     spec = eigendecompose(ham)
     state_kind = args.state or ("all_up" if args.model == "ising" else "uniform")
@@ -243,7 +246,6 @@ def _cmd_single_run(args) -> None:
         x_label="t",
         log_x=True,
     )
-    disp = DispersionConfig(w_frac=args.w_frac, n0_frac=args.n0_frac)
     eta_val = eta(r_ratio_mean(spec.eigenvalues))
     print(f"single-run [{tag}] state={state_kind}")
     print(f"  K = {lan.krylov_dim} / D = {ham.dim}   eta = {eta_val:.4f}")

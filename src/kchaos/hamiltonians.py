@@ -127,14 +127,19 @@ def _reflect(states: np.ndarray, n_spins: int) -> np.ndarray:
     return rev
 
 
-def parity_basis(n_spins: int, sector: str) -> ParityBasis:
-    """Symmetry-adapted basis of the even or odd reflection sector."""
+def check_chain(n_spins: int, sector: str) -> None:
+    """Reject a chain length or sector that ``parity_basis`` does not build."""
     if n_spins < 1:
         raise ValueError("n_spins must be >= 1")
     if n_spins > MAX_SPINS:
         raise ValueError(f"n_spins = {n_spins} exceeds the cap of {MAX_SPINS} spins")
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+
+
+def parity_basis(n_spins: int, sector: str) -> ParityBasis:
+    """Symmetry-adapted basis of the even or odd reflection sector."""
+    check_chain(n_spins, sector)
     idx = np.arange(2**n_spins)
     rev = _reflect(idx, n_spins)
     keep = idx <= rev if sector == "even" else idx < rev

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import DispersionConfig
-from .sweeps import FamilyStats, SweepConfig, SweepRecord, parse_families
+from .sweeps import MODELS, FamilyStats, SweepConfig, SweepRecord, parse_families
 
 _STAT_COLUMNS = ("cbar_norm", "inv_sigma_a", "inv_sigma_b", "inv_sigma_a_norm", "inv_sigma_b_norm")
 
@@ -222,10 +222,6 @@ def parse_floats(value: str) -> np.ndarray:
     return np.array([float(tok) for tok in value.split(",") if tok.strip()])
 
 
-# the grid-flag stem of each sweep command: --hz-min, --k-min, ...
-_PARAM_FLAG = {"ising": "hz", "banded": "k"}
-
-
 @dataclass(frozen=True)
 class ConfigKey:
     """One config-file key: its value parser (also the argparse type of its
@@ -241,7 +237,7 @@ class ConfigKey:
     def flag_for(self, model: str) -> str | None:
         if self.flag is None or self.model not in (None, model):
             return None
-        return self.flag.format(param=_PARAM_FLAG[model])
+        return self.flag.format(param=MODELS[model].flag)
 
 
 # In .meta.txt order.  The defaults live with SweepConfig in kchaos.sweeps.
@@ -318,6 +314,8 @@ def build_sweep_config(pairs: dict[str, str]) -> SweepConfig:
     parts: dict[str | None, dict[str, Any]] = defaultdict(dict)
     for key, text in pairs.items():
         spec = CONFIG_KEYS[key]
+        if spec.model not in (None, pairs["model"]):
+            raise ConfigError(f"key {key} applies to the {spec.model} model, not {pairs['model']}")
         try:
             parts[spec.into][key] = spec.parse(text)
         except ValueError as exc:

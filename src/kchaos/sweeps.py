@@ -26,6 +26,7 @@ from .hamiltonians import (
     SpectralData,
     build_banded_random,
     build_ising_sector,
+    check_chain,
     eigendecompose,
     parity_basis,
 )
@@ -150,7 +151,7 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        default_grid, _, _ = _model_defaults(self.model)
+        default_grid = _lookup_model(self.model).grid
         grid = np.array(default_grid if self.param_grid is None else self.param_grid, dtype=float)
         if grid.size == 0:
             raise ConfigError("param_grid is empty; give at least one grid point")
@@ -174,25 +175,12 @@ class SweepConfig:
                 raise ConfigError(f"the {fam.label} family needs count >= 1, got {fam.count}")
         if self.n_eta is None:
             object.__setattr__(self, "n_eta", self.n_spins)
+        if self.model == "ising":  # the n_eta chain is first built inside the point loop
+            check_chain(self.n_eta, self.sector)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-
-
-# Each model's default grid, state families and eigenstate-family size.  The
-# field grid covers both integrable ends; the coupling grid brackets the
-# Poisson-to-GOE transition.
-_MODEL_DEFAULTS = {
-    "ising": (np.geomspace(0.05, 4.0, 30), "all_up,eig_ref@4,eig_ref@0,random,uniform", 40),
-    "banded": (np.geomspace(5e-4, 2.0, 20), "border,eig_ref@0,random,uniform", 20),
-}
-
-
-def _model_defaults(model: str) -> tuple[np.ndarray, str, int]:
-    if model not in _MODEL_DEFAULTS:
-        raise ConfigError(f"model must be 'ising' or 'banded', got {model!r}")
-    return _MODEL_DEFAULTS[model]
 
 
 def parse_families(
@@ -203,11 +191,11 @@ def parse_families(
 ) -> tuple[Family, ...]:
     """State families from a comma list; an empty list gives the model's
     default families, and ``eigen_count`` the model's default size."""
-    _, default_families, default_eigen_count = _model_defaults(model)
+    defaults = _lookup_model(model)
     if eigen_count is None:
-        eigen_count = default_eigen_count
+        eigen_count = defaults.eigen_count
     fams: list[Family] = []
-    for token in filter(None, (t.strip() for t in (families or default_families).split(","))):
+    for token in filter(None, (t.strip() for t in (families or defaults.families).split(","))):
         name, at, ref = token.partition("@")
         if token == "all_up":
             fams.append(AllUpFamily())
@@ -259,49 +247,55 @@ def banded_hamiltonian(dim: int, bandwidth_frac: float, k: float, seed: int) -> 
 
 @dataclass(frozen=True)
 class _Model:
-    """A model as the point loop sees it: H at (param, realization), and the
-    Hamiltonian whose levels give eta when it is not the swept one."""
+    """A sweep model as ``sweeps``, ``io`` and ``cli`` read it; one entry of MODELS."""
 
     param_name: str
-    realizations: int
-    hamiltonian: Callable[[float, int], Hamiltonian]
-    eta_hamiltonian: Callable[[float], Hamiltonian] | None = None
+    flag: str
+    help: str
+    grid: np.ndarray
+    families: str
+    eigen_count: int
+    hamiltonians: Callable[[SweepConfig, float], list[Hamiltonian]]
 
 
-def _model(cfg: SweepConfig) -> _Model:
-    if cfg.model == "ising":
-        return _Model(
-            param_name="h_z",
-            realizations=1,
-            hamiltonian=lambda h_z, r: build_ising_sector(cfg.n_spins, h_z, cfg.sector),
-            eta_hamiltonian=None
-            if cfg.n_eta == cfg.n_spins
-            else lambda h_z: build_ising_sector(cfg.n_eta, h_z, cfg.sector),
-        )
-    # each realization draws one (H0, V) pair traced through the whole grid
-    seeds = [derive_seed(cfg.seed, "matrix", r) for r in range(cfg.realizations)]
-    return _Model(
-        param_name="k",
-        realizations=cfg.realizations,
-        hamiltonian=lambda k, r: banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, seeds[r]),
-    )
+# The field grid covers both integrable ends; the coupling grid brackets the
+# Poisson-to-GOE transition.  Builders are looked up by name at call time.
+MODELS = {
+    "ising": _Model(
+        "h_z", "hz", "spin-chain h_z sweep", np.geomspace(0.05, 4.0, 30),
+        "all_up,eig_ref@4,eig_ref@0,random,uniform", 40,
+        lambda cfg, h_z: [build_ising_sector(cfg.n_spins, h_z, cfg.sector)],
+    ),
+    "banded": _Model(
+        "k", "k", "banded-model k sweep", np.geomspace(5e-4, 2.0, 20),
+        "border,eig_ref@0,random,uniform", 20,
+        # each realization draws one (H0, V) pair traced through the whole grid
+        lambda cfg, k: [
+            banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, derive_seed(cfg.seed, "matrix", r))
+            for r in range(cfg.realizations)
+        ],
+    ),
+}
+
+
+def _lookup_model(name: str) -> _Model:
+    if name not in MODELS:
+        raise ConfigError(f"model must be {' or '.join(map(repr, MODELS))}, got {name!r}")
+    return MODELS[name]
 
 
 # ---------------------------------------------------------------------------
 # the sweep
 
 
-def _fixed_members(
-    cfg: SweepConfig, model: _Model
-) -> dict[str, list[tuple[int, StateVector]] | None]:
+def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, StateVector]] | None]:
     """The (realization, state) pairs each family runs at every grid point;
     None for the current-basis uniform family, rebuilt at each point.  The
     reference spectra are released before the point loop."""
     basis = parity_basis(cfg.n_spins, cfg.sector) if cfg.model == "ising" else None
     # the spectra of every realization at one reference parameter at a time
-    reference = lru_cache(maxsize=1)(
-        lambda p: [eigendecompose(model.hamiltonian(p, r)) for r in range(model.realizations)]
-    )
+    hamiltonians = MODELS[cfg.model].hamiltonians
+    reference = lru_cache(maxsize=1)(lambda p: [eigendecompose(h) for h in hamiltonians(cfg, p)])
     members = {}
     for fam in cfg.families:
         if isinstance(fam, AllUpFamily):
@@ -372,12 +366,12 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
     """
     if cfg.model != model_name:
         raise ConfigError(f"run_{model_name}_sweep requires model = {model_name}")
-    model = _model(cfg)
-    fixed = _fixed_members(cfg, model)
+    model = MODELS[model_name]
+    fixed = _fixed_members(cfg)
 
     def point(i: int) -> SweepRecord | None:
         param = float(cfg.param_grid[i])
-        hams = [model.hamiltonian(param, r) for r in range(model.realizations)]
+        hams = model.hamiltonians(cfg, param)
         specs = [eigendecompose(h) for h in hams]
         if any(s.near_degenerate for s in specs) and not cfg.allow_degenerate:
             log.warning(
@@ -387,10 +381,10 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
                 min(s.min_spacing for s in specs),
             )
             return None
-        if model.eta_hamiltonian is None:
-            levels = [s.eigenvalues for s in specs]
+        if cfg.model == "ising" and cfg.n_eta != cfg.n_spins:
+            levels = [np.linalg.eigvalsh(build_ising_sector(cfg.n_eta, param, cfg.sector).matrix)]
         else:
-            levels = [np.linalg.eigvalsh(model.eta_hamiltonian(param).matrix)]
+            levels = [s.eigenvalues for s in specs]
         eta_val = float(np.mean([eta(r_ratio_mean(e)) for e in levels]))
         stats: dict[str, FamilyStats] = {}
         for fam in cfg.families:

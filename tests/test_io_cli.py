@@ -30,6 +30,10 @@ def tiny_records():
     return postprocess_normalize(run_ising_sweep(cfg))
 
 
+def _eigh_must_not_run(ham):
+    raise AssertionError("eigendecomposition ran before the input was checked")
+
+
 class TestCsv:
     def test_header_layout(self, tiny_records, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -166,6 +170,23 @@ class TestConfigParsing:
         )
         lines = config_summary(cfg).splitlines()
         assert lines[3:5] == ["families = border,eig0,random,uniform", "family_counts = 1,20,2,1"]
+
+    @pytest.mark.parametrize(
+        "model, key, value",
+        [
+            ("banded", "n_spins", "12"),
+            ("banded", "sector", "odd"),
+            ("banded", "n_eta", "3"),
+            ("ising", "dim", "16"),
+            ("ising", "bandwidth_frac", "0.3"),
+            ("ising", "realizations", "2"),
+        ],
+    )
+    def test_other_model_key_rejected(self, model, key, value):
+        owner = CONFIG_KEYS[key].model
+        match = f"key {key} applies to the {owner} model, not {model}"
+        with pytest.raises(ConfigError, match=match):
+            build_sweep_config({"model": model, key: value})
 
     def test_missing_model_named(self):
         with pytest.raises(ConfigError, match="model"):
@@ -400,6 +421,30 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "--t-points must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "single_run.csv").exists()
+
+    def test_config_model_must_match_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("kchaos.sweeps.eigendecompose", _eigh_must_not_run)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("model = ising\nn_spins = 4\n")
+        assert main(["banded-sweep", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "is for the ising model, not banded" in capsys.readouterr().err
+        assert not (tmp_path / "banded_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["single-run", "--model", "goe", "--w-frac", "0.7"], "w_frac must be in (0, 0.5)"),
+            (["single-run", "--model", "goe", "--n0-frac", "1"], "n0_frac must be in [0, 1)"),
+            (["ising-sweep", "--n-spins", "4", "--n-eta", "15"], "exceeds the cap of 14 spins"),
+        ],
+        ids=["w-frac", "n0-frac", "n-eta"],
+    )
+    def test_rejected_before_eigensolve(self, argv, match, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("kchaos.cli.eigendecompose", _eigh_must_not_run)
+        monkeypatch.setattr("kchaos.sweeps.eigendecompose", _eigh_must_not_run)
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert match in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_single_run_goe(self, tmp_path, capsys):
         code = main(
