@@ -20,21 +20,17 @@ from .hamiltonians import (
     build_goe,
     build_ising_sector,
     eigendecompose,
-    hamiltonian_from_matrix,
     parity_basis,
 )
 from .krylov import (
     ComplexityCurve,
     LanczosResult,
     SaturationReport,
-    complexity_curve,
     complexity_values,
     default_time_grid,
     krylov_amplitudes,
     lanczos_full_orth,
     saturation,
-    tight_binding_propagate,
-    time_average_complexity,
 )
 from .measures import (
     MEAN_R_GOE,
@@ -43,9 +39,7 @@ from .measures import (
     eta,
     normalize_to_eta,
     r_ratio_mean,
-    sigma_log,
     sigma_moving,
-    spearman_rank_correlation,
 )
 from .perturbation import (
     BoundSweep,
@@ -58,7 +52,6 @@ from .states import (
     GaussianProfile,
     StateVector,
     UniformComplement,
-    energy_coefficients,
     select_center_states,
     state_all_up,
     state_eigenstate,

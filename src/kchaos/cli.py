@@ -3,7 +3,7 @@
 Subcommands: ``ising-sweep``, ``banded-sweep``, ``bound-sweep``,
 ``scaling-check`` and ``single-run``.  Exit codes: 0 on success, 1 for
 usage/config problems, 2 for numerical failures (degeneracy, orthogonality
-loss, norm drift).
+loss, eigensolver failure).
 """
 
 from __future__ import annotations
@@ -220,17 +220,19 @@ def _cmd_single_run(args) -> None:
     if args.t_points < 1:
         raise ConfigError(f"--t-points must be at least 1, got {args.t_points}")
     disp = DispersionConfig(w_frac=args.w_frac, n0_frac=args.n0_frac)
-    ham, tag = _model_from_args(args)
-    spec = eigendecompose(ham)
+    # only the uniform state needs the spectrum, so the others are built, or
+    # rejected, before the eigensolve
     state_kind = args.state or ("all_up" if args.model == "ising" else "uniform")
     if state_kind == "all_up":
         if args.model != "ising":
             raise ConfigError("--state all_up requires --model ising")
         psi = state_all_up(parity_basis(args.n_spins, args.sector))
-    elif state_kind == "uniform":
-        psi = state_uniform_eigenbasis(spec)
-    else:
+    ham, tag = _model_from_args(args)
+    if state_kind == "random":
         psi = state_random(ham.dim, args.state_seed)
+    spec = eigendecompose(ham)
+    if state_kind == "uniform":
+        psi = state_uniform_eigenbasis(spec)
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=args.allow_degenerate)
     rep = saturation(spec, lan, psi, allow_degenerate=args.allow_degenerate)
     times = default_time_grid(spec.spectral_range, ham.dim, n_points=args.t_points)

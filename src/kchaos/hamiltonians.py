@@ -114,11 +114,6 @@ def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
     return Hamiltonian(matrix=matrix, dim=matrix.shape[0], meta=meta)
 
 
-def hamiltonian_from_matrix(matrix: np.ndarray) -> Hamiltonian:
-    """Wrap an externally built symmetric matrix (copied, caller keeps ownership)."""
-    return _as_hamiltonian(np.array(matrix, dtype=float), {"family": "custom"})
-
-
 def _reflect(states: np.ndarray, n_spins: int) -> np.ndarray:
     """Chain reflection of computational-basis indices (bit reversal)."""
     rev = np.zeros_like(states)

@@ -4,18 +4,16 @@ The recursion is run with full orthogonalization: each candidate vector is
 re-projected against every previous Krylov vector (one classical
 Gram-Schmidt pass, repeated only after heavy cancellation) before its norm
 is taken as the next off-diagonal coefficient.  Time evolution inside the
-Krylov chain is computed spectrally, with a fixed-step 4th-order integrator
-of the hopping-chain equation kept as an independent cross-check.
+Krylov chain is computed spectrally.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, OrthogonalityLossError, NumericalError
+from .errors import DegenerateSpectrumError, OrthogonalityLossError
 from .hamiltonians import Hamiltonian, SpectralData
 from .states import StateVector
 
@@ -23,6 +21,8 @@ DEFAULT_B_TOL = 1e-12
 DEFAULT_ORTHO_TOL = 1e-10
 # a Gram-Schmidt pass is repeated when it leaves less than this share of the norm
 DGKS_RATIO = 1.0 / np.sqrt(2.0)
+# time points per block of Krylov amplitudes in complexity_values
+CHUNK_TIMES = 16384
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,6 @@ class LanczosResult:
     @property
     def halted_early(self) -> bool:
         return self.halt_index is not None
-
-    def tridiagonal(self) -> np.ndarray:
-        """Dense K x K tridiagonal matrix built from the coefficients."""
-        t = np.diag(self.a)
-        if self.b.size:
-            t += np.diag(self.b, 1) + np.diag(self.b, -1)
-        return t
 
 
 @dataclass(frozen=True)
@@ -213,77 +206,24 @@ def krylov_amplitudes(
     return overlaps @ (weights[:, None] * phases)
 
 
-def tight_binding_propagate(
-    lan: LanczosResult, t_max: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the Krylov hopping chain with a classical 4th-order scheme.
-
-    Solves i d/dt psi_n = a_n psi_n + b_n psi_{n-1} + b_{n+1} psi_{n+1} from
-    psi_n(0) = delta_n0 with fixed step ``dt``; returns ``(times, psi)`` with
-    one column per step.  Exists as an independent cross-check of the
-    spectral amplitudes; raises when the accumulated norm drift exceeds 1e-6.
-    """
-    if dt <= 0 or t_max < 0:
-        raise ValueError("need dt > 0 and t_max >= 0")
-    a = lan.a
-    b = lan.b
-    k = lan.krylov_dim
-
-    def rhs(psi: np.ndarray) -> np.ndarray:
-        y = a * psi
-        if k > 1:
-            y[1:] += b * psi[:-1]
-            y[:-1] += b * psi[1:]
-        return -1j * y
-
-    n_steps = int(round(t_max / dt))
-    times = np.arange(n_steps + 1) * dt
-    out = np.empty((k, n_steps + 1), dtype=complex)
-    psi = np.zeros(k, dtype=complex)
-    psi[0] = 1.0
-    out[:, 0] = psi
-    for step in range(1, n_steps + 1):
-        k1 = rhs(psi)
-        k2 = rhs(psi + 0.5 * dt * k1)
-        k3 = rhs(psi + 0.5 * dt * k2)
-        k4 = rhs(psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, step] = psi
-    drift = float(np.max(np.abs(np.sum(np.abs(out) ** 2, axis=0) - 1.0)))
-    if drift > 1e-6:
-        suggested = dt * (1e-6 / drift) ** 0.25
-        raise NumericalError(
-            f"norm drift {drift:.3e} exceeds 1e-6; retry with dt <= {suggested:.3e}"
-        )
-    return times, out
-
-
-def complexity_curve(psi_matrix: np.ndarray, times: np.ndarray) -> ComplexityCurve:
-    """First moment of the chain occupation: C(t) = sum_n n |psi_n(t)|^2."""
-    psi_matrix = np.asarray(psi_matrix)
-    positions = np.arange(psi_matrix.shape[0])
-    values = positions @ (np.abs(psi_matrix) ** 2)
-    return ComplexityCurve(times=np.asarray(times, dtype=float), values=values)
-
-
 def complexity_values(
     spec: SpectralData,
     lan: LanczosResult,
     psi0: StateVector,
     times: np.ndarray,
-    chunk_size: int = 16384,
 ) -> ComplexityCurve:
-    """Spectral-method complexity curve, evaluated in time chunks.
+    """Spectral-method complexity curve C(t) = sum_n n |psi_n(t)|^2,
+    evaluated ``CHUNK_TIMES`` times at a time.
 
-    Equivalent to ``complexity_curve(krylov_amplitudes(...), times)`` but
-    never materializes the full amplitude matrix, which matters for the long
-    grids used in time-average checks.
+    Never materializes the full amplitude matrix, which matters for the long
+    grids used in time-average checks; ``tests/oracles.py::complexity_curve``
+    computes the same curve from the full matrix of ``krylov_amplitudes``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.empty(times.shape[0])
     positions = np.arange(lan.krylov_dim)
-    for start in range(0, times.shape[0], chunk_size):
-        chunk = times[start : start + chunk_size]
+    for start in range(0, times.shape[0], CHUNK_TIMES):
+        chunk = times[start : start + CHUNK_TIMES]
         amps = krylov_amplitudes(spec, lan, psi0, chunk)
         values[start : start + chunk.shape[0]] = positions @ (np.abs(amps) ** 2)
     return ComplexityCurve(times=times, values=values)
@@ -314,29 +254,6 @@ def saturation(
     half = (spec.dim - 1) / 2.0
     c_bar_normalized = c_bar / half if half > 0 else 0.0
     return SaturationReport(c_bar=c_bar, c_bar_normalized=c_bar_normalized, q0n=q0n)
-
-
-def time_average_complexity(
-    curve: ComplexityCurve, t_final: float, fastest_phase: float | None = None
-) -> float:
-    """Trapezoidal average of a complexity curve over [0, t_final].
-
-    ``fastest_phase`` (the spectral range) enables an undersampling warning
-    when the grid cannot resolve the fastest oscillation.
-    """
-    mask = curve.times <= t_final * (1.0 + 1e-12)
-    t = curve.times[mask]
-    v = curve.values[mask]
-    if t.shape[0] < 2:
-        raise ValueError("need at least two samples inside [0, t_final]")
-    max_step = float(np.max(np.diff(t)))
-    if fastest_phase is not None and fastest_phase > 0 and max_step > 1.0 / fastest_phase:
-        warnings.warn(
-            f"time grid step {max_step:.3e} undersamples the fastest phase "
-            f"(period {2 * np.pi / fastest_phase:.3e})",
-            stacklevel=2,
-        )
-    return float(np.trapezoid(v, t) / (t[-1] - t[0]))
 
 
 def default_time_grid(

@@ -1,6 +1,6 @@
-"""Chaos quantifiers: level-spacing ratio statistics and Lanczos-sequence
-dispersion measures, plus the normalization that maps arbitrary diagnostic
-curves onto the spectral chaos scale."""
+"""Chaos quantifiers: level-spacing ratio statistics and the moving-average
+dispersion of a Lanczos sequence, plus the normalization that maps arbitrary
+diagnostic curves onto the spectral chaos scale."""
 
 from __future__ import annotations
 
@@ -56,23 +56,6 @@ def eta(r_mean: float) -> float:
     return (r_mean - MEAN_R_POISSON) / (MEAN_R_GOE - MEAN_R_POISSON)
 
 
-def sigma_log(b: np.ndarray) -> float:
-    """Dispersion of the off-diagonal sequence via paired log ratios.
-
-    Forms x_m = ln|b_{2m-1} / b_{2m}| over all complete pairs (the sequence
-    is indexed from 1) and returns the square root of their population
-    variance.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] < 4:
-        raise ValueError("need at least 4 coefficients (two complete pairs)")
-    if np.any(b == 0):
-        raise ValueError("sequence contains a zero entry")
-    n_pairs = b.shape[0] // 2
-    x = np.log(np.abs(b[0 : 2 * n_pairs : 2] / b[1 : 2 * n_pairs : 2]))
-    return float(np.sqrt(np.var(x)))
-
-
 def sigma_moving(s: np.ndarray, cfg: DispersionConfig = DispersionConfig()) -> float:
     """RMS deviation of a sequence from its centered moving average.
 
@@ -116,31 +99,3 @@ def normalize_to_eta(x: np.ndarray, eta_ref: np.ndarray) -> np.ndarray:
         raise ValueError("cannot normalize a constant sequence")
     scaled = x * (eta_ref.max() - eta_ref.min()) / x_range
     return scaled - np.mean(scaled - eta_ref)
-
-
-def spearman_rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation with average ranks on ties."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.shape[0] < 2:
-        raise ValueError("x and y must be equal-length vectors of length >= 2")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    return float(np.corrcoef(rx, ry)[0, 1])
-
-
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.shape[0])
-    ranks[order] = np.arange(1, v.shape[0] + 1, dtype=float)
-    # average ranks within tied groups
-    sorted_v = v[order]
-    i = 0
-    while i < sorted_v.shape[0]:
-        j = i
-        while j + 1 < sorted_v.shape[0] and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks

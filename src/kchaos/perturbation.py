@@ -62,6 +62,11 @@ class ScalingReport:
 OVERLAP_FLOOR = 1e-14
 
 
+def _check_anchor(j: int, dim: int) -> None:
+    if not 0 <= j < dim:
+        raise ValueError(f"eigenstate index {j} out of range [0, {dim})")
+
+
 def bound_rhs(dim: int, delta: float) -> float:
     """Leading-order saturation bound (3D/2 - 1) * delta^2."""
     if delta < 0:
@@ -87,6 +92,7 @@ def run_bound_sweep(
         raise ValueError("deltas must be a nonempty 1-D grid")
     if np.any(np.diff(deltas) <= 0) or deltas[0] < 0:
         raise ValueError("deltas must be strictly increasing and >= 0")
+    _check_anchor(j, ham.dim)
     if spec is None:
         spec = eigendecompose(ham)
     c_bar = np.empty(deltas.shape[0])
@@ -128,8 +134,7 @@ def overlap_scaling_check(
         raise ValueError("need at least 4 grid points for a credible fit")
     if np.any(delta_grid <= 0) or np.any(delta_grid > 0.05):
         raise ValueError("delta grid must lie in (0, 0.05]")
-    if not 0 <= j < ham.dim:
-        raise ValueError(f"eigenstate index {j} out of range [0, {ham.dim})")
+    _check_anchor(j, ham.dim)
     if spec is None:
         spec = eigendecompose(ham)
     e_j = spec.eigenvectors[:, j]

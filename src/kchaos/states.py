@@ -142,8 +142,3 @@ def select_center_states(spec: SpectralData, count: int) -> list[int]:
     distance = np.abs(spec.eigenvalues - median)
     order = np.argsort(distance, kind="stable")
     return sorted(int(i) for i in order[:count])
-
-
-def energy_coefficients(state: StateVector, spec: SpectralData) -> np.ndarray:
-    """Overlaps <e_i|psi> of a sector-basis state with each eigenstate."""
-    return spec.eigenvectors.T @ state.amplitudes

@@ -177,6 +177,8 @@ class SweepConfig:
             object.__setattr__(self, "n_eta", self.n_spins)
         if self.model == "ising":  # the n_eta chain is first built inside the point loop
             check_chain(self.n_eta, self.sector)
+        if self.model == "banded":
+            _check_bandwidth_frac(self.bandwidth_frac)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.threads < 1:
@@ -239,8 +241,16 @@ class SweepRecord:
 # models
 
 
+def _check_bandwidth_frac(bandwidth_frac: float) -> None:
+    """Reject a bandwidth fraction outside (0, 1], which ``banded_hamiltonian``
+    would otherwise clamp silently."""
+    if not 0.0 < bandwidth_frac <= 1.0:
+        raise ConfigError(f"bandwidth_frac must be in (0, 1], got {bandwidth_frac:g}")
+
+
 def banded_hamiltonian(dim: int, bandwidth_frac: float, k: float, seed: int) -> Hamiltonian:
     """Banded model at coupling ``k`` with bandwidth ``bandwidth_frac * dim``, rounded."""
+    _check_bandwidth_frac(bandwidth_frac)
     bandwidth = max(1, min(dim - 1, round(bandwidth_frac * dim)))
     return build_banded_random(dim, bandwidth, k, seed)
 
@@ -440,9 +450,7 @@ def _normalize_partial(col: np.ndarray, eta_col: np.ndarray) -> np.ndarray:
     return out
 
 
-def postprocess_normalize(
-    records: list[SweepRecord], eta_column: np.ndarray | None = None
-) -> list[SweepRecord]:
+def postprocess_normalize(records: list[SweepRecord]) -> list[SweepRecord]:
     """Fill the normalized inverse-dispersion columns of a sweep.
 
     Each family's 1/sigma curves are mapped onto the eta scale of the same
@@ -451,11 +459,7 @@ def postprocess_normalize(
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to normalize a sweep")
-    eta_col = (
-        np.asarray(eta_column, dtype=float)
-        if eta_column is not None
-        else np.array([r.eta for r in records])
-    )
+    eta_col = np.array([r.eta for r in records])
     labels = list(records[0].families.keys())
     normalized: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for label in labels:

@@ -4,6 +4,7 @@ import pytest
 from kchaos import eigendecompose
 from kchaos.hamiltonians import MAX_SPINS, _as_hamiltonian, _reflect
 from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
+from oracles import tridiagonal
 
 
 def build_ising_full(n_spins, h_z):
@@ -161,7 +162,7 @@ def assert_lanczos_structure(ham, spec, lan, expect_full=True):
     assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
 
     projected = lan.basis.conj().T @ ham.matrix @ lan.basis
-    tri = lan.tridiagonal()
+    tri = tridiagonal(lan)
     assert np.max(np.abs(projected - tri)) <= 1e-8 * scale
     assert np.allclose(np.diag(projected), lan.a, atol=1e-8 * scale)
     if k > 1:

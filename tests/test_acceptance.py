@@ -33,17 +33,19 @@ from kchaos import (
     run_bound_sweep,
     run_ising_sweep,
     saturation,
-    sigma_log,
     sigma_moving,
-    spearman_rank_correlation,
     state_all_up,
     state_eigenstate,
     state_random,
     state_uniform_eigenbasis,
+)
+from kchaos.cli import main
+from oracles import (
+    sigma_log,
+    spearman_rank_correlation,
     tight_binding_propagate,
     time_average_complexity,
 )
-from kchaos.cli import main
 
 # linear coverage of the transition window, containing 1.0 and 4.0 exactly;
 # a log grid would pile points onto the small-field chaotic plateau where

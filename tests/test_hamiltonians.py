@@ -9,9 +9,9 @@ from kchaos import (
     build_goe,
     build_ising_sector,
     eigendecompose,
-    hamiltonian_from_matrix,
     parity_basis,
 )
+from oracles import hamiltonian_from_matrix
 
 
 class TestIsingFull:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -436,12 +438,42 @@ class TestCli:
             (["single-run", "--model", "goe", "--w-frac", "0.7"], "w_frac must be in (0, 0.5)"),
             (["single-run", "--model", "goe", "--n0-frac", "1"], "n0_frac must be in [0, 1)"),
             (["ising-sweep", "--n-spins", "4", "--n-eta", "15"], "exceeds the cap of 14 spins"),
+            (
+                ["single-run", "--model", "ising", "--n-spins", "6", "--sector", "odd"],
+                "the all-up state is palindromic and lives in the even sector",
+            ),
+            (
+                ["single-run", "--model", "banded", "--dim", "64", "--state", "all_up"],
+                "--state all_up requires --model ising",
+            ),
+            (
+                ["bound-sweep", "--model", "banded", "--dim", "64", "--j", "64"],
+                "eigenstate index 64 out of range [0, 64)",
+            ),
+            (
+                ["banded-sweep", "--dim", "16", "--bandwidth-frac", "-3"],
+                "bandwidth_frac must be in (0, 1], got -3",
+            ),
+            (
+                ["single-run", "--model", "banded", "--dim", "16", "--bandwidth-frac", "7"],
+                "bandwidth_frac must be in (0, 1], got 7",
+            ),
         ],
-        ids=["w-frac", "n0-frac", "n-eta"],
+        ids=[
+            "w-frac",
+            "n0-frac",
+            "n-eta",
+            "all-up-odd-sector",
+            "all-up-banded",
+            "bound-j",
+            "bandwidth-frac-minus-3",
+            "bandwidth-frac-7",
+        ],
     )
     def test_rejected_before_eigensolve(self, argv, match, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("kchaos.cli.eigendecompose", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.sweeps.eigendecompose", _eigh_must_not_run)
+        monkeypatch.setattr("kchaos.perturbation.eigendecompose", _eigh_must_not_run)
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert match in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -506,3 +538,11 @@ def test_every_sweep_flag_reaches_meta(command, tmp_path, capsys):
     for args, line in flags:
         assert line in meta, args
     assert len(read_csv(tmp_path / f"{stem}.csv")) == 2
+
+
+def test_readme_library_sketch_runs():
+    """The README's library sketch names only what ``kchaos`` exports."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md (library sketch)", "exec"), {})

@@ -10,11 +10,9 @@ from kchaos import (
     UniformComplement,
     build_goe,
     build_ising_sector,
-    complexity_curve,
     complexity_values,
     default_time_grid,
     eigendecompose,
-    hamiltonian_from_matrix,
     krylov_amplitudes,
     lanczos_full_orth,
     parity_basis,
@@ -25,11 +23,16 @@ from kchaos import (
     state_perturbed,
     state_random,
     state_uniform_eigenbasis,
-    tight_binding_propagate,
-    time_average_complexity,
 )
 from kchaos.hamiltonians import SPARSE_MAX_DENSITY
 from kchaos.sweeps import banded_hamiltonian
+from oracles import (
+    complexity_curve,
+    hamiltonian_from_matrix,
+    tight_binding_propagate,
+    time_average_complexity,
+    tridiagonal,
+)
 
 
 def two_level():
@@ -214,7 +217,7 @@ class TestAgainstReference:
         lan = lanczos_full_orth(ham, state_random(64, 4), spec=spec)
         assert lan.krylov_dim == 64
         projected = lan.basis.T @ ham.matrix @ lan.basis
-        assert np.max(np.abs(projected - lan.tridiagonal())) <= 1e-12
+        assert np.max(np.abs(projected - tridiagonal(lan))) <= 1e-12
 
 
 class TestAmplitudes:
@@ -306,14 +309,15 @@ class TestComplexity:
         assert np.all(curve.values <= lan.krylov_dim - 1)
         assert np.all(curve.values >= 0)
 
-    def test_chunked_matches_direct(self):
+    def test_chunked_matches_direct(self, monkeypatch):
         ham = build_goe(20, 4)
         spec = eigendecompose(ham)
         psi = state_random(20, 5)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 30.0, 1001)
         direct = complexity_curve(krylov_amplitudes(spec, lan, psi, ts), ts)
-        chunked = complexity_values(spec, lan, psi, ts, chunk_size=100)
+        monkeypatch.setattr("kchaos.krylov.CHUNK_TIMES", 100)
+        chunked = complexity_values(spec, lan, psi, ts)
         # chunk width changes BLAS summation order, so exact equality is not
         # guaranteed, only agreement at rounding level
         assert np.allclose(direct.values, chunked.values, rtol=0, atol=1e-12)

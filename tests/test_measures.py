@@ -9,10 +9,9 @@ from kchaos import (
     eta,
     normalize_to_eta,
     r_ratio_mean,
-    sigma_log,
     sigma_moving,
-    spearman_rank_correlation,
 )
+from oracles import sigma_log, spearman_rank_correlation
 
 
 class TestRRatio:

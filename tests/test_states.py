@@ -7,8 +7,6 @@ from kchaos import (
     UniformComplement,
     build_goe,
     eigendecompose,
-    hamiltonian_from_matrix,
-    energy_coefficients,
     lanczos_full_orth,
     parity_basis,
     saturation,
@@ -19,6 +17,7 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
+from oracles import energy_coefficients, hamiltonian_from_matrix
 
 
 class TestAllUp:

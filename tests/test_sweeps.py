@@ -249,13 +249,6 @@ class TestPostprocess:
         with pytest.raises(ValueError):
             postprocess_normalize(records)
 
-    def test_explicit_eta_column(self):
-        records = run_ising_sweep(small_ising_cfg())
-        custom = np.array([0.1, 0.6, 0.9])
-        out = postprocess_normalize(records, eta_column=custom)
-        col = np.array([r.families["all_up"].inv_sigma_b_norm for r in out])
-        assert np.mean(col - custom) == pytest.approx(0.0, abs=1e-12)
-
     def test_partial_normalization_keeps_nan(self):
         cfg = small_ising_cfg(
             families=(EigenstatesFamily(ref_param=3.0, count=4), AllUpFamily()),
