@@ -132,6 +132,15 @@ def check_chain(n_spins: int, sector: str) -> None:
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
 
 
+def sector_dim(n_spins: int, sector: str) -> int:
+    """Dimension of ``parity_basis(n_spins, sector)`` without building it: half
+    of the 2^N states, plus (even) or minus (odd) half of the 2^ceil(N/2)
+    palindromes."""
+    check_chain(n_spins, sector)
+    palindromes = 2 ** ((n_spins + 1) // 2)
+    return (2**n_spins + (palindromes if sector == "even" else -palindromes)) // 2
+
+
 def parity_basis(n_spins: int, sector: str) -> ParityBasis:
     """Symmetry-adapted basis of the even or odd reflection sector."""
     check_chain(n_spins, sector)

@@ -1,10 +1,12 @@
 """Lanczos recursion, Krylov-basis evolution and complexity saturation.
 
-The recursion is run with full orthogonalization: each candidate vector is
-re-projected against every previous Krylov vector (one classical
-Gram-Schmidt pass, repeated only after heavy cancellation) before its norm
-is taken as the next off-diagonal coefficient.  Time evolution inside the
-Krylov chain is computed spectrally.
+The recursion keeps the Krylov basis orthonormal to working precision: each
+candidate vector is re-projected against every previous Krylov vector (one
+classical Gram-Schmidt pass, repeated only after heavy cancellation) before
+its norm is taken as the next off-diagonal coefficient.  From
+``PRO_MIN_DIM`` on, a pass runs only at the steps where Simon's estimate of
+the orthogonality loss asks for one (partial reorthogonalization).  Time
+evolution inside the Krylov chain is computed spectrally.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ DEFAULT_B_TOL = 1e-12
 DEFAULT_ORTHO_TOL = 1e-10
 # a Gram-Schmidt pass is repeated when it leaves less than this share of the norm
 DGKS_RATIO = 1.0 / np.sqrt(2.0)
+# from this dimension on, a Gram-Schmidt pass runs only where the omega
+# estimate asks for one; it breaks even near D = 400, and the N=10 sector
+# (D = 528) and smaller keep a pass at every step and their results bit for bit
+PRO_MIN_DIM = 600
+# the omega estimate asks for a pass when some |<q_n|q_k>| may exceed this
+OMEGA_TOL = 1e-12
 # time points per block of Krylov amplitudes in complexity_values
 CHUNK_TIMES = 16384
 
@@ -34,7 +42,8 @@ class LanczosResult:
     Krylov vectors as columns.  ``halt_index`` records the step at which the
     recursion found a vanishing norm, or None when it ran to full dimension.
     ``ortho_residual`` is the largest deviation of the basis Gram matrix from
-    the identity.
+    the identity, and ``reorth_passes`` the number of Gram-Schmidt passes the
+    run made, repeats included.
     """
 
     a: np.ndarray
@@ -43,6 +52,7 @@ class LanczosResult:
     krylov_dim: int
     halt_index: int | None
     ortho_residual: float
+    reorth_passes: int
 
     @property
     def halted_early(self) -> bool:
@@ -86,14 +96,22 @@ def lanczos_full_orth(
     allow_degenerate: bool = False,
     ortho_tol: float = DEFAULT_ORTHO_TOL,
 ) -> LanczosResult:
-    """Three-term recursion with full reorthogonalization.
+    """Three-term recursion with reorthogonalization against the whole basis.
 
-    Each candidate vector gets one classical Gram-Schmidt pass against every
-    previous Krylov vector, and a second one only when the first left less
-    than ``DGKS_RATIO`` of its norm (the criterion of Daniel, Gragg, Kaufman
-    and Stewart, Math. Comp. 30, 1976).  The recursion halts at the first
-    off-diagonal coefficient below ``DEFAULT_B_TOL`` times the spectral range
-    of ``spec`` (times 1 when the range is 0).
+    A Gram-Schmidt pass projects the candidate vector on every previous
+    Krylov vector; a second pass follows only when the first left less than
+    ``DGKS_RATIO`` of its norm (the criterion of Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 1976).  Below ``PRO_MIN_DIM`` every step runs a
+    pass.  From it on, the step carries Simon's omega recurrence (H. D.
+    Simon, Math. Comp. 42, 1984), an estimate of the overlaps |<q_n|q_k>|
+    from the coefficients alone, with roundoff eps*sqrt(D)*||H|| entering at
+    every step and the neighbour overlap set to eps*sqrt(D)*||H||/b_n.  A
+    pass runs only when some estimate exceeds ``OMEGA_TOL``, and then again
+    at the next step; both rows of the estimate restart at eps.  Either way
+    the final Gram check against ``ortho_tol`` holds the basis to the same
+    standard.  The recursion halts at the first off-diagonal coefficient
+    below ``DEFAULT_B_TOL`` times the spectral range of ``spec`` (times 1
+    when the range is 0).
 
     Parameters
     ----------
@@ -102,8 +120,8 @@ def lanczos_full_orth(
     psi0 : StateVector
         Unit seed vector in the same basis as the matrix.
     spec : SpectralData
-        Eigendecomposition of ``ham``: supplies the spectral scale and the
-        degeneracy gate.
+        Eigendecomposition of ``ham``: supplies the spectral scale, ||H|| for
+        the estimate and the degeneracy gate.
     allow_degenerate : bool
         Run even when ``spec`` is flagged near-degenerate.
     ortho_tol : float
@@ -132,6 +150,17 @@ def lanczos_full_orth(
     a = np.empty(dim)
     b = np.empty(dim - 1) if dim > 1 else np.empty(0)
 
+    partial = dim >= PRO_MIN_DIM
+    if partial:
+        eps = np.finfo(float).eps
+        # roundoff one step adds to b_n * omega_{n,k}
+        local = eps * np.sqrt(dim) * float(np.max(np.abs(spec.eigenvalues)))
+        # rows omega_{n-2}, omega_{n-1} and omega_n of the estimate
+        old, cur, new = np.full((3, dim), eps)
+        new[0] = 1.0
+    force = False
+    passes = 0
+
     w = apply_h(v)
     a[0] = np.real(np.vdot(v, w))
     w = w - a[0] * v
@@ -140,14 +169,39 @@ def lanczos_full_orth(
     for n in range(1, dim):
         prev = q[:n]
         b_n = np.linalg.norm(w)
-        for _ in range(2):
-            w = w - (prev @ w.conj()).conj() @ prev
-            before, b_n = b_n, np.linalg.norm(w)
-            if b_n >= DGKS_RATIO * before:
-                break
+        skip = False
+        if partial:
+            old, cur, new = cur, new, old
+            if not force and local < OMEGA_TOL * b_n:
+                # b_n omega_{n,k} = b_{k+1} omega_{n-1,k+1} + (a_k - a_{n-1}) omega_{n-1,k}
+                #                   + b_k omega_{n-1,k-1} - b_{n-1} omega_{n-2,k}
+                m = n - 1
+                if m:
+                    t = new[:m]
+                    np.multiply(b[:m], cur[1:n], out=t)
+                    t += (a[:m] - a[m]) * cur[:m]
+                    t[1:] += b[: m - 1] * cur[: m - 1]
+                    t -= b[m - 1] * old[:m]
+                    t += np.copysign(local, t)
+                    t /= b_n
+                skip = float(np.max(np.abs(new[:m]), initial=0.0)) <= OMEGA_TOL
+                new[m] = local / b_n
+            # a pass asked for by the estimate is repeated at the next step
+            force = not skip and not force
+        if not skip:
+            for _ in range(2):
+                w = w - (prev @ w.conj()).conj() @ prev
+                passes += 1
+                before, b_n = b_n, np.linalg.norm(w)
+                if b_n >= DGKS_RATIO * before:
+                    break
+            if partial:
+                new[:n] = eps
         if b_n < DEFAULT_B_TOL * scale:
             halt_index = n
             break
+        if partial:
+            new[n] = 1.0
         v = w / b_n
         q[n] = v
         b[n - 1] = b_n
@@ -158,7 +212,8 @@ def lanczos_full_orth(
 
     basis = q[:k].T
     gram = q[:k].conj() @ basis
-    ortho_resid = float(np.max(np.abs(gram - np.eye(k))))
+    gram.flat[:: k + 1] -= 1.0
+    ortho_resid = float(np.max(np.abs(gram, out=gram).real))
     if ortho_resid > ortho_tol:
         raise OrthogonalityLossError(
             f"Krylov basis orthogonality residual {ortho_resid:.3e} exceeds {ortho_tol:.1e}"
@@ -171,6 +226,7 @@ def lanczos_full_orth(
         krylov_dim=k,
         halt_index=halt_index,
         ortho_residual=ortho_resid,
+        reorth_passes=passes,
     )
 
 

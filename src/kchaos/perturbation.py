@@ -103,6 +103,8 @@ def run_bound_sweep(
         rep = saturation(spec, lan, psi, allow_degenerate=allow_degenerate)
         c_bar[i] = rep.c_bar
         bound[i] = bound_rhs(ham.dim, float(delta))
+        # release this D x D Krylov basis before the next run allocates its own
+        del lan
     holds = c_bar <= bound
     ok_prefix = np.where(~holds)[0]
     if ok_prefix.size == 0:
@@ -145,6 +147,7 @@ def overlap_scaling_check(
         lan = lanczos_full_orth(ham, psi, spec=spec)
         k_min = min(k_min, lan.krylov_dim)
         overlaps[i, : lan.krylov_dim] = np.abs(lan.basis.conj().T @ e_j) ** 2
+        del lan
     n_values = np.arange(1, k_min)
     slopes = np.full(n_values.shape[0], np.nan)
     f_intercepts = np.full(n_values.shape[0], np.nan)

@@ -29,6 +29,7 @@ from .hamiltonians import (
     check_chain,
     eigendecompose,
     parity_basis,
+    sector_dim,
 )
 from .krylov import lanczos_full_orth, saturation
 from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
@@ -179,6 +180,13 @@ class SweepConfig:
             check_chain(self.n_eta, self.sector)
         if self.model == "banded":
             _check_bandwidth_frac(self.bandwidth_frac)
+        dim = sector_dim(self.n_spins, self.sector) if self.model == "ising" else self.dim
+        for fam in families:
+            if isinstance(fam, EigenstatesFamily) and fam.count > dim:
+                raise ConfigError(
+                    f"the {fam.label} family needs {fam.count} eigenstates but the spectrum "
+                    f"has dimension {dim}; set --eigen-count (eigen_count) to at most {dim}"
+                )
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.threads < 1:
@@ -322,12 +330,6 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, StateVector]] 
             if cfg.model == "banded" and fam.ref_param != 0.0:
                 raise ConfigError("banded eigenstate families reference the k=0 spectrum")
             spec = reference(fam.ref_param)[0]
-            if fam.count > spec.dim:
-                raise ConfigError(
-                    f"the {fam.label} family needs {fam.count} eigenstates but the spectrum "
-                    f"has dimension {spec.dim}; set --eigen-count (eigen_count) to at most "
-                    f"{spec.dim}"
-                )
             pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
         elif fam.ref_param is None:
             pairs = None

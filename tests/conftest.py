@@ -117,10 +117,12 @@ def lanczos_reference(ham, psi0, spec):
     w = w - a[0] * v
     k = 1
     halt_index = None
+    passes = 0
     for n in range(1, dim):
         prev = basis[:, :n]
         for _ in range(2):
             w = w - prev @ (prev.conj().T @ w)
+            passes += 1
         b_n = np.linalg.norm(w)
         if b_n < DEFAULT_B_TOL * scale:
             halt_index = n
@@ -143,6 +145,7 @@ def lanczos_reference(ham, psi0, spec):
         krylov_dim=k,
         halt_index=halt_index,
         ortho_residual=ortho_resid,
+        reorth_passes=passes,
     )
 
 

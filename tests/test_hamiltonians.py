@@ -11,6 +11,7 @@ from kchaos import (
     eigendecompose,
     parity_basis,
 )
+from kchaos.hamiltonians import sector_dim
 from oracles import hamiltonian_from_matrix
 
 
@@ -75,6 +76,11 @@ class TestParityBasis:
         odd = parity_basis(n, "odd")
         assert even.dim == (2**n + 2 ** ((n + 1) // 2)) // 2
         assert even.dim + odd.dim == 2**n
+
+    def test_sector_dim_without_building(self):
+        for n in range(1, 15):
+            for sector in ("even", "odd"):
+                assert sector_dim(n, sector) == parity_basis(n, sector).dim
 
     def test_known_sector_sizes(self):
         assert parity_basis(10, "even").dim == 528

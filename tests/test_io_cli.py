@@ -458,6 +458,16 @@ class TestCli:
                 ["single-run", "--model", "banded", "--dim", "16", "--bandwidth-frac", "7"],
                 "bandwidth_frac must be in (0, 1], got 7",
             ),
+            (
+                ["banded-sweep", "--dim", "2000", "--families", "eig_ref@0"]
+                + ["--eigen-count", "2500"],
+                "the eig0 family needs 2500 eigenstates but the spectrum has dimension 2000",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "12", "--families", "eig_ref@4"]
+                + ["--eigen-count", "3000"],
+                "the eig4 family needs 3000 eigenstates but the spectrum has dimension 2080",
+            ),
         ],
         ids=[
             "w-frac",
@@ -468,6 +478,8 @@ class TestCli:
             "bound-j",
             "bandwidth-frac-minus-3",
             "bandwidth-frac-7",
+            "eigen-count-banded",
+            "eigen-count-ising",
         ],
     )
     def test_rejected_before_eigensolve(self, argv, match, tmp_path, capsys, monkeypatch):

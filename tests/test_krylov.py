@@ -25,6 +25,7 @@ from kchaos import (
     state_uniform_eigenbasis,
 )
 from kchaos.hamiltonians import SPARSE_MAX_DENSITY
+from kchaos.krylov import PRO_MIN_DIM
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     complexity_curve,
@@ -159,9 +160,9 @@ def _halted_case():
     return ham, StateVector(vecs @ (coeffs / np.linalg.norm(coeffs)))
 
 
-def _perturbed_case():
-    ham = banded_hamiltonian(64, 0.2, 0.125, 4)
-    return ham, state_perturbed(eigendecompose(ham), 10, UniformComplement(), 1e-3)
+def _perturbed_case(dim=64, delta=1e-3):
+    ham = banded_hamiltonian(dim, 0.2, 0.125, 4)
+    return ham, state_perturbed(eigendecompose(ham), 10, UniformComplement(), delta)
 
 
 def _eigenstate_case():
@@ -188,26 +189,55 @@ REFERENCE_CASES = {
 }
 
 
+# cases at or above PRO_MIN_DIM, where most steps skip the Gram-Schmidt pass
+PARTIAL_CASES = {
+    "ising11-all_up": (lambda: _ising_case(11, "all_up"), True),
+    "ising11-random": (lambda: _ising_case(11, "random"), True),
+    "ising11-eig_ref": (lambda: _ising_case(11, "eig_ref"), True),
+    "banded1024-perturbed-1e-2": (lambda: _perturbed_case(1024, 1e-2), False),
+}
+
+
+def _match_reference(build, sparse):
+    """Run the production kernel and the oracle on one case and compare them."""
+    ham, psi = build()
+    assert (np.count_nonzero(ham.matrix) <= SPARSE_MAX_DENSITY * ham.dim**2) == sparse
+    spec = eigendecompose(ham)
+    lan = lanczos_full_orth(ham, psi, spec=spec)
+    ref = lanczos_reference(ham, psi, spec)
+    tol = 1e-8 * spec.spectral_range
+    assert lan.krylov_dim == ref.krylov_dim
+    assert lan.halt_index == ref.halt_index
+    assert np.max(np.abs(lan.a - ref.a)) <= tol
+    assert np.max(np.abs(lan.b - ref.b), initial=0.0) <= tol
+    c_bar = saturation(spec, lan, psi).c_bar
+    c_ref = saturation(spec, ref, psi).c_bar
+    assert abs(c_bar - c_ref) <= 1e-10 * abs(c_ref)
+    assert lan.ortho_residual <= 1e-13
+    return ham, lan
+
+
 class TestAgainstReference:
     """The production kernel against the two-pass dense oracle."""
 
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
     def test_matches_reference(self, case):
-        build, sparse = REFERENCE_CASES[case]
-        ham, psi = build()
-        assert (np.count_nonzero(ham.matrix) <= SPARSE_MAX_DENSITY * ham.dim**2) == sparse
-        spec = eigendecompose(ham)
-        lan = lanczos_full_orth(ham, psi, spec=spec)
-        ref = lanczos_reference(ham, psi, spec)
-        tol = 1e-8 * spec.spectral_range
-        assert lan.krylov_dim == ref.krylov_dim
-        assert lan.halt_index == ref.halt_index
-        assert np.max(np.abs(lan.a - ref.a)) <= tol
-        assert np.max(np.abs(lan.b - ref.b), initial=0.0) <= tol
-        c_bar = saturation(spec, lan, psi).c_bar
-        c_ref = saturation(spec, ref, psi).c_bar
-        assert abs(c_bar - c_ref) <= 1e-10 * abs(c_ref)
-        assert lan.ortho_residual <= 1e-13
+        ham, lan = _match_reference(*REFERENCE_CASES[case])
+        # below the switch every step reorthogonalizes, the halting one included
+        assert ham.dim < PRO_MIN_DIM
+        assert lan.reorth_passes >= lan.krylov_dim - 1 + lan.halted_early
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_matches_reference_with_partial_reorth(self, case, monkeypatch):
+        # the omega estimate on the small cases: halting, complex, near-halting
+        monkeypatch.setattr("kchaos.krylov.PRO_MIN_DIM", 0)
+        _match_reference(*REFERENCE_CASES[case])
+
+    @pytest.mark.parametrize("case", list(PARTIAL_CASES))
+    def test_matches_reference_above_switch(self, case):
+        ham, lan = _match_reference(*PARTIAL_CASES[case])
+        assert ham.dim >= PRO_MIN_DIM
+        assert lan.reorth_passes < lan.krylov_dim - 1
 
     def test_sparse_path_with_empty_row(self):
         # row 0 of diag(0, ..., 1) has no nonzero entry

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,21 @@ class TestOverlapScaling:
             overlap_scaling_check(
                 ham, 3, UniformComplement(), np.array([0.01, 0.02, 0.05, 0.2]), spec=spec
             )
+
+
+def test_previous_krylov_basis_released(goe32, monkeypatch):
+    # each run allocates a D x D Krylov array; the previous run's must be gone
+    alive = []
+
+    def run(*args, **kwargs):
+        assert all(ref() is None for ref in alive), "an earlier LanczosResult is still alive"
+        lan = lanczos_full_orth(*args, **kwargs)
+        alive.append(weakref.ref(lan))
+        return lan
+
+    monkeypatch.setattr("kchaos.perturbation.lanczos_full_orth", run)
+    ham, spec = goe32
+    run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.02, 0.05]), spec=spec)
+    alive.clear()
+    overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4), spec=spec)
+    assert len(alive) == 4
