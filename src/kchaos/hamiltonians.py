@@ -2,9 +2,9 @@
 
 Two families are provided: an open Ising chain with a tilted magnetic field
 (restricted to a reflection-parity sector) and a banded random-matrix model
-interpolating between Poisson and GOE level statistics.  Everything is dense
-real-symmetric; the full eigenbasis is required downstream, so matrices are
-diagonalized directly.
+interpolating between Poisson and GOE level statistics.  Every matrix is real
+symmetric and stored dense, applied through its band or its nonzeros; the full
+eigenbasis is required downstream, so matrices are diagonalized directly.
 """
 
 from __future__ import annotations
@@ -24,8 +24,46 @@ MAX_SPINS = 14
 
 SYMMETRY_TOL = 1e-12
 # H is applied through its nonzero entries when at most this share is nonzero;
-# dense gemv wins above 5-10% density for D = 256-2080
+# on one thread dense gemv beats the slot product at 6% density on the N=8
+# sector (D = 136) and near 5% at D = 256, the slots win up to 10% or more
+# from D = 528 on
 SPARSE_MAX_DENSITY = 0.05
+# rows per block of the band product; below 4 blocks (D < 512) the dense
+# product wins even on a narrow band
+BAND_ROWS = 128
+# the band product runs when its blocks read at most this share of H
+BAND_MAX_COVER = 0.75
+
+
+def _band_product(h: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Row-block product over the band of ``h``, or None when it would not pay.
+
+    Block ``[r0, r1)`` multiplies the view of ``h`` between the first and the
+    last column in which those rows have a nonzero entry, so on a band of
+    half-width ``bw`` it reads ``h[r0:r1, r0-bw:r1+bw]`` (clipped to the
+    matrix) and skips the zero corners.  The nonzero pattern is read one
+    block at a time, so the choice allocates no D x D array.
+    """
+    dim = h.shape[0]
+    if dim < 4 * BAND_ROWS:
+        return None
+    blocks = []
+    for r0 in range(0, dim, BAND_ROWS):
+        rows = slice(r0, min(dim, r0 + BAND_ROWS))
+        cols = np.flatnonzero(np.any(h[rows] != 0.0, axis=0))
+        blocks.append((rows, slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)))
+    cover = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
+    if cover > BAND_MAX_COVER * dim * dim:
+        return None
+    blocks = [(r, h[r, c], c) for r, c in blocks]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = np.empty(dim, dtype=np.result_type(h, x))
+        for rows, block, cols in blocks:
+            np.matmul(block, x[cols], out=y[rows])
+        return y
+
+    return apply
 
 
 @dataclass(frozen=True)
@@ -37,28 +75,39 @@ class Hamiltonian:
     meta: dict = field(default_factory=dict)
 
     @cached_property
-    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``x -> matrix @ x``, through the nonzero entries when the matrix is
-        sparse enough; built once and shared by every run on this matrix.
-
-        Below ``SPARSE_MAX_DENSITY`` the row sums are accumulated with
-        ``bincount``, which also handles rows without any nonzero entry.
-        ``count_nonzero`` runs before the index arrays are built so a dense
-        matrix never pays for them.
-        """
+    def _product(self) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
         h, dim = self.matrix, self.dim
         if np.count_nonzero(h) > SPARSE_MAX_DENSITY * dim * dim:
-            return h.__matmul__
+            band = _band_product(h)
+            return ("dense", h.__matmul__) if band is None else ("band", band)
+        # slot s of column i holds the s-th nonzero of row i, in column order;
+        # short rows are padded with (column 0, value 0)
         rows, cols = np.nonzero(h)
-        vals = h[rows, cols]
+        counts = np.bincount(rows, minlength=dim)
+        slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.zeros((int(counts.max(initial=0)), dim), dtype=np.intp)
+        vals = np.zeros(idx.shape)
+        idx[slots, rows] = cols
+        vals[slots, rows] = h[rows, cols]
+        return "sparse", lambda x: (vals * x[idx]).sum(axis=0)
 
-        def apply(x: np.ndarray) -> np.ndarray:
-            y = vals * x[cols]
-            if np.iscomplexobj(y):
-                return np.bincount(rows, y.real, dim) + 1j * np.bincount(rows, y.imag, dim)
-            return np.bincount(rows, weights=y, minlength=dim)
+    @property
+    def layout(self) -> str:
+        """How ``matvec`` reads the matrix: ``"sparse"``, ``"band"`` or ``"dense"``."""
+        return self._product[0]
 
-        return apply
+    @property
+    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> matrix @ x`` in the layout ``layout`` names, chosen once per
+        Hamiltonian and shared by every run on it.
+
+        ``sparse``, at most ``SPARSE_MAX_DENSITY`` nonzero: the nonzeros sit
+        slot-major and are summed over the slots, which adds each row's terms
+        in column order.  ``band``: see ``_band_product``.  ``dense``:
+        everything else.  ``count_nonzero`` runs first, so a dense matrix
+        never pays for index arrays.
+        """
+        return self._product[1]
 
 
 @dataclass(frozen=True)

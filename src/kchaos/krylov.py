@@ -302,8 +302,12 @@ def saturation(
     if spec.dim != lan.basis.shape[0] or psi0.dim != spec.dim:
         raise ValueError("spec, lan and psi0 must share one Hilbert space dimension")
     overlaps = _eigen_overlaps(spec, lan)
+    if np.iscomplexobj(overlaps):
+        overlaps = np.abs(overlaps)
+    # |<K_n|e_i>|^2 in place, so a real basis needs one K x D array, not two
+    overlaps *= overlaps
     weights = np.abs(spec.eigenvectors.T @ np.asarray(psi0.amplitudes)) ** 2
-    q = (np.abs(overlaps) ** 2) @ weights
+    q = overlaps @ weights
     q0n = np.zeros(spec.dim)
     q0n[: lan.krylov_dim] = q
     c_bar = float(np.arange(lan.krylov_dim) @ q)

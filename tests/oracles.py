@@ -5,7 +5,8 @@ The package ships one implementation of each computation; the independent
 routes to the same numbers live here: the RK4 hopping-chain propagator
 beside the spectral amplitudes, the unchunked complexity curve beside
 ``complexity_values``, the trapezoid time average beside the exact
-saturation, and the paired-log-ratio dispersion beside ``sigma_moving``.
+saturation, the paired-log-ratio dispersion beside ``sigma_moving``, and the
+``bincount`` product beside the sparse layout of ``Hamiltonian.matvec``.
 """
 
 import warnings
@@ -20,6 +21,23 @@ from kchaos.krylov import ComplexityCurve
 def hamiltonian_from_matrix(matrix):
     """Wrap an externally built symmetric matrix (copied, caller keeps ownership)."""
     return _as_hamiltonian(np.array(matrix, dtype=float), {"family": "custom"})
+
+
+def bincount_matvec(matrix):
+    """``x -> matrix @ x`` over the nonzero entries, each row's terms summed
+    with ``bincount`` in column order: the reference for the sparse layout of
+    ``Hamiltonian.matvec``, which must agree with it bit for bit."""
+    rows, cols = np.nonzero(matrix)
+    vals = matrix[rows, cols]
+    dim = matrix.shape[0]
+
+    def apply(x):
+        y = vals * x[cols]
+        if np.iscomplexobj(y):
+            return np.bincount(rows, y.real, dim) + 1j * np.bincount(rows, y.imag, dim)
+        return np.bincount(rows, weights=y, minlength=dim)
+
+    return apply
 
 
 def energy_coefficients(state, spec):

@@ -11,8 +11,9 @@ from kchaos import (
     eigendecompose,
     parity_basis,
 )
-from kchaos.hamiltonians import sector_dim
-from oracles import hamiltonian_from_matrix
+from kchaos.hamiltonians import BAND_ROWS, _band_product, sector_dim
+from kchaos.sweeps import banded_hamiltonian
+from oracles import bincount_matvec, hamiltonian_from_matrix
 
 
 class TestIsingFull:
@@ -272,3 +273,83 @@ class TestEigendecompose:
         assert ham.matrix[0, 0] == 1.0
         with pytest.raises(ValueError):
             ham.matrix[0, 0] = 9.0
+
+
+def _probe(dim, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim)
+    return x, x + 1j * rng.standard_normal(dim)
+
+
+class TestMatvec:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *[
+                pytest.param(lambda n=n, s=s: build_ising_sector(n, 0.5, s), id=f"ising{n}-{s}")
+                for n in (9, 10, 11, 12)
+                for s in ("even", "odd")
+            ],
+            # row 0 of diag(0, ..., 1) has no nonzero entry
+            pytest.param(
+                lambda: hamiltonian_from_matrix(np.diag(np.linspace(0.0, 1.0, 64))),
+                id="empty-row",
+            ),
+        ],
+    )
+    def test_sparse_matches_bincount_bit_for_bit(self, build):
+        ham = build()
+        assert ham.layout == "sparse"
+        oracle = bincount_matvec(ham.matrix)
+        for x in _probe(ham.dim):
+            assert np.array_equal(ham.matvec(x), oracle(x))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param(lambda: banded_hamiltonian(512, 0.2, 1.0, 1).matrix, id="d512"),
+            pytest.param(lambda: banded_hamiltonian(640, 0.2, 1.0, 2).matrix, id="d640"),
+            pytest.param(lambda: banded_hamiltonian(1024, 0.2, 1.0, 3).matrix, id="d1024"),
+            pytest.param(lambda: banded_hamiltonian(2048, 0.2, 1.0, 4).matrix, id="d2048"),
+            pytest.param(lambda: build_banded_random(512, 1, 1.0, 5).matrix, id="bandwidth1"),
+            # a block of rows without any nonzero entry
+            pytest.param(
+                lambda: np.pad(banded_hamiltonian(384, 0.2, 1.0, 6).matrix, (BAND_ROWS, 0)),
+                id="empty-block",
+            ),
+        ],
+    )
+    def test_band_product_matches_dense(self, matrix):
+        h = matrix()
+        apply = _band_product(h)
+        assert apply is not None
+        for x in _probe(h.shape[0]):
+            assert np.max(np.abs(apply(x) - h @ x)) <= 1e-13 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize(
+        "build,layout",
+        [
+            *[(lambda n=n: build_ising_sector(n, 0.5, "even"), "sparse") for n in (9, 10, 11, 12)],
+            (lambda: banded_hamiltonian(256, 0.2, 0.125, 0), "dense"),
+            (lambda: banded_hamiltonian(1024, 0.9, 0.125, 0), "dense"),
+            (lambda: build_goe(1024, 0), "dense"),
+            (lambda: banded_hamiltonian(512, 0.2, 0.125, 0), "band"),
+            (lambda: banded_hamiltonian(1024, 0.2, 0.125, 0), "band"),
+        ],
+    )
+    def test_layout_choice(self, build, layout):
+        assert build().layout == layout
+
+    def test_band_choice_allocates_no_square_array(self):
+        # the bool pattern is read one row block at a time and the blocks are
+        # views of H, so building the product stays below 2 D^2 bytes, a
+        # quarter of H
+        dim = 1024
+        ham = banded_hamiltonian(dim, 0.2, 0.125, 0)
+        tracemalloc.start()
+        try:
+            assert ham.layout == "band"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dim**2

@@ -24,7 +24,6 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
-from kchaos.hamiltonians import SPARSE_MAX_DENSITY
 from kchaos.krylov import PRO_MIN_DIM
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
@@ -170,38 +169,42 @@ def _eigenstate_case():
     return ham, state_eigenstate(eigendecompose(ham), 7)
 
 
-# (builder, whether H is at most SPARSE_MAX_DENSITY nonzero)
+# (builder, the layout Hamiltonian.matvec picks for H)
 REFERENCE_CASES = {
-    "ising9-all_up": (lambda: _ising_case(9, "all_up"), True),
-    "ising9-eig_ref": (lambda: _ising_case(9, "eig_ref"), True),
-    "ising9-random": (lambda: _ising_case(9, "random"), True),
-    "ising8-all_up": (lambda: _ising_case(8, "all_up"), False),
-    "ising8-eig_ref": (lambda: _ising_case(8, "eig_ref"), False),
-    "ising8-random": (lambda: _ising_case(8, "random"), False),
-    "banded-k5e-4-border": (lambda: _banded_case(5e-4, "border"), False),
-    "banded-k5e-4-eig0": (lambda: _banded_case(5e-4, "eig0"), False),
-    "banded-k1-border": (lambda: _banded_case(1.0, "border"), False),
-    "goe-complex": (_complex_goe_case, False),
-    "ising9-complex": (_complex_ising_case, True),
-    "goe-halted-4": (_halted_case, False),
-    "banded-perturbed-1e-3": (_perturbed_case, False),
-    "goe-eigenstate": (_eigenstate_case, False),
+    "ising9-all_up": (lambda: _ising_case(9, "all_up"), "sparse"),
+    "ising9-eig_ref": (lambda: _ising_case(9, "eig_ref"), "sparse"),
+    "ising9-random": (lambda: _ising_case(9, "random"), "sparse"),
+    "ising8-all_up": (lambda: _ising_case(8, "all_up"), "dense"),
+    "ising8-eig_ref": (lambda: _ising_case(8, "eig_ref"), "dense"),
+    "ising8-random": (lambda: _ising_case(8, "random"), "dense"),
+    "banded-k5e-4-border": (lambda: _banded_case(5e-4, "border"), "dense"),
+    "banded-k5e-4-eig0": (lambda: _banded_case(5e-4, "eig0"), "dense"),
+    "banded-k1-border": (lambda: _banded_case(1.0, "border"), "dense"),
+    "goe-complex": (_complex_goe_case, "dense"),
+    "ising9-complex": (_complex_ising_case, "sparse"),
+    "goe-halted-4": (_halted_case, "dense"),
+    "banded-perturbed-1e-3": (_perturbed_case, "dense"),
+    "goe-eigenstate": (_eigenstate_case, "dense"),
+    "banded512-random": (
+        lambda: (banded_hamiltonian(512, 0.2, 0.125, 7), state_random(512, 21)),
+        "band",
+    ),
 }
 
 
 # cases at or above PRO_MIN_DIM, where most steps skip the Gram-Schmidt pass
 PARTIAL_CASES = {
-    "ising11-all_up": (lambda: _ising_case(11, "all_up"), True),
-    "ising11-random": (lambda: _ising_case(11, "random"), True),
-    "ising11-eig_ref": (lambda: _ising_case(11, "eig_ref"), True),
-    "banded1024-perturbed-1e-2": (lambda: _perturbed_case(1024, 1e-2), False),
+    "ising11-all_up": (lambda: _ising_case(11, "all_up"), "sparse"),
+    "ising11-random": (lambda: _ising_case(11, "random"), "sparse"),
+    "ising11-eig_ref": (lambda: _ising_case(11, "eig_ref"), "sparse"),
+    "banded1024-perturbed-1e-2": (lambda: _perturbed_case(1024, 1e-2), "band"),
 }
 
 
-def _match_reference(build, sparse):
+def _match_reference(build, layout):
     """Run the production kernel and the oracle on one case and compare them."""
     ham, psi = build()
-    assert (np.count_nonzero(ham.matrix) <= SPARSE_MAX_DENSITY * ham.dim**2) == sparse
+    assert ham.layout == layout
     spec = eigendecompose(ham)
     lan = lanczos_full_orth(ham, psi, spec=spec)
     ref = lanczos_reference(ham, psi, spec)
@@ -242,7 +245,7 @@ class TestAgainstReference:
     def test_sparse_path_with_empty_row(self):
         # row 0 of diag(0, ..., 1) has no nonzero entry
         ham = hamiltonian_from_matrix(np.diag(np.linspace(0.0, 1.0, 64)))
-        assert np.count_nonzero(ham.matrix) <= SPARSE_MAX_DENSITY * ham.dim**2
+        assert ham.layout == "sparse"
         spec = eigendecompose(ham)
         lan = lanczos_full_orth(ham, state_random(64, 4), spec=spec)
         assert lan.krylov_dim == 64
