@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import DispersionConfig
-from .sweeps import MODELS, FamilyStats, SweepConfig, SweepRecord, parse_families
+from .sweeps import MODELS, SweepConfig, SweepRecord, parse_families
 
 _STAT_COLUMNS = ("cbar_norm", "inv_sigma_a", "inv_sigma_b", "inv_sigma_a_norm", "inv_sigma_b_norm")
 
@@ -68,28 +68,6 @@ def write_csv(
         header = sweep_header(family_labels or [])
         table = np.empty((0, len(header)))
     write_table(path, header, table)
-
-
-def read_csv(path: str | Path) -> list[SweepRecord]:
-    """Inverse of ``write_csv`` for round-tripping and downstream analysis."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    if header[:2] != ["param", "eta"] or (len(header) - 2) % len(_STAT_COLUMNS) != 0:
-        raise ValueError(f"{path}: not a sweep CSV (header {header[:3]}...)")
-    labels = [
-        header[2 + i * len(_STAT_COLUMNS)].removesuffix("_cbar_norm")
-        for i in range((len(header) - 2) // len(_STAT_COLUMNS))
-    ]
-    records = []
-    for line in lines[1:]:
-        vals = [float(tok) for tok in line.split(",")]
-        fams = {}
-        for i, label in enumerate(labels):
-            base = 2 + i * len(_STAT_COLUMNS)
-            fams[label] = FamilyStats(*vals[base : base + len(_STAT_COLUMNS)])
-        records.append(SweepRecord(param=vals[0], eta=vals[1], families=fams))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +308,6 @@ def build_sweep_config(pairs: dict[str, str]) -> SweepConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def parse_config(path: str | Path) -> SweepConfig:
-    """Read a flat config file into a validated SweepConfig."""
-    return build_sweep_config(read_config_pairs(path))
 
 
 def _meta_value(value) -> str:

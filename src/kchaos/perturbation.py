@@ -46,7 +46,6 @@ class ScalingReport:
     n_values: np.ndarray
     slopes: np.ndarray
     f_intercepts: np.ndarray
-    deltas: np.ndarray
 
     @property
     def median_slope(self) -> float:
@@ -159,6 +158,4 @@ def overlap_scaling_check(
             continue
         slopes[pos] = np.polyfit(log_d[keep], np.log(o[keep]), 1)[0]
         f_intercepts[pos] = np.exp(np.mean(np.log(o[keep]) - 2.0 * log_d[keep]))
-    return ScalingReport(
-        n_values=n_values, slopes=slopes, f_intercepts=f_intercepts, deltas=delta_grid
-    )
+    return ScalingReport(n_values=n_values, slopes=slopes, f_intercepts=f_intercepts)

@@ -72,20 +72,12 @@ class AllUpFamily:
 
 @dataclass(frozen=True)
 class UniformFamily:
-    """Uniformly spread over an energy eigenbasis.
-
-    With ``ref_param`` None (the default) the state is rebuilt from the
-    current grid point's own eigenbasis, which makes its saturation exactly
-    (D-1)/2; a float selects a fixed reference Hamiltonian instead.
-    """
-
-    ref_param: float | None = None
+    """Uniformly spread over the current grid point's own eigenbasis, rebuilt
+    at every point, which makes its saturation exactly (D-1)/2."""
 
     @property
     def label(self) -> str:
-        if self.ref_param is None:
-            return "uniform"
-        return f"uniform_ref{_fmt_param(self.ref_param)}"
+        return "uniform"
 
 
 @dataclass(frozen=True)
@@ -174,6 +166,8 @@ class SweepConfig:
                 raise ConfigError("the border family applies to the banded model only")
             if getattr(fam, "count", 1) < 1:
                 raise ConfigError(f"the {fam.label} family needs count >= 1, got {fam.count}")
+            if self.model == "banded" and isinstance(fam, EigenstatesFamily) and fam.ref_param:
+                raise ConfigError("banded eigenstate families reference the k=0 spectrum")
         if self.n_eta is None:
             object.__setattr__(self, "n_eta", self.n_spins)
         if self.model == "ising":  # the n_eta chain is first built inside the point loop
@@ -209,8 +203,8 @@ def parse_families(
         name, at, ref = token.partition("@")
         if token == "all_up":
             fams.append(AllUpFamily())
-        elif name == "uniform":
-            fams.append(UniformFamily(ref_param=float(ref) if at else None))
+        elif token == "uniform":
+            fams.append(UniformFamily())
         elif token == "random":
             fams.append(RandomFamily(count=random_count))
         elif token == "border":
@@ -219,8 +213,7 @@ def parse_families(
             fams.append(EigenstatesFamily(ref_param=float(ref), count=eigen_count))
         else:
             raise ConfigError(
-                f"unknown family {token!r}; valid: all_up, uniform, uniform@<p>, "
-                "random, border, eig_ref@<p>"
+                f"unknown family {token!r}; valid: all_up, uniform, random, border, eig_ref@<p>"
             )
     return tuple(fams)
 
@@ -327,16 +320,10 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, StateVector]] 
         elif isinstance(fam, BorderFamily):
             pairs = [(r, state_eigenstate(spec, 0)) for r, spec in enumerate(reference(0.0))]
         elif isinstance(fam, EigenstatesFamily):
-            if cfg.model == "banded" and fam.ref_param != 0.0:
-                raise ConfigError("banded eigenstate families reference the k=0 spectrum")
             spec = reference(fam.ref_param)[0]
             pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
-        elif fam.ref_param is None:
-            pairs = None
-        elif cfg.model == "banded":
-            raise ConfigError("banded uniform family uses the current eigenbasis")
         else:
-            pairs = [(0, state_uniform_eigenbasis(reference(fam.ref_param)[0]))]
+            pairs = None
         members[fam.label] = pairs
     return members
 
@@ -429,7 +416,7 @@ def run_banded_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Banded random-matrix sweep over the coupling grid.
 
     Each realization draws one (H0, V) pair that is traced through the whole
-    grid.  Families attached to the reference basis (border, uniform) are
+    grid.  Border and uniform families, one state per realization, are
     averaged over realizations; random and reference-eigenstate families use
     realization 0 only, averaging over their member states.
     """

@@ -7,7 +7,6 @@ shared across criteria through module-scoped fixtures.
 import numpy as np
 import pytest
 
-from conftest import assert_lanczos_structure
 from kchaos import (
     AllUpFamily,
     EigenstatesFamily,
@@ -41,6 +40,7 @@ from kchaos import (
 )
 from kchaos.cli import main
 from oracles import (
+    assert_lanczos_structure,
     sigma_log,
     spearman_rank_correlation,
     tight_binding_propagate,

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_ising_full, dense_matrix, project_to_sector
 from kchaos import (
     build_banded_random,
     build_goe,
@@ -13,7 +12,13 @@ from kchaos import (
 )
 from kchaos.hamiltonians import BAND_ROWS, _band_product, sector_dim
 from kchaos.sweeps import banded_hamiltonian
-from oracles import bincount_matvec, hamiltonian_from_matrix
+from oracles import (
+    bincount_matvec,
+    build_ising_full,
+    dense_matrix,
+    hamiltonian_from_matrix,
+    project_to_sector,
+)
 
 
 class TestIsingFull:

@@ -9,13 +9,12 @@ from kchaos.io import (
     CONFIG_KEYS,
     build_sweep_config,
     config_summary,
-    parse_config,
-    read_csv,
     render_line_chart,
     render_svg,
     sweep_header,
     write_csv,
 )
+from oracles import parse_config, read_csv
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +467,16 @@ class TestCli:
                 + ["--eigen-count", "3000"],
                 "the eig4 family needs 3000 eigenstates but the spectrum has dimension 2080",
             ),
+            (
+                ["banded-sweep", "--dim", "64", "--realizations", "3", "--k-points", "2"]
+                + ["--k-min", "0.1", "--k-max", "1", "--families", "border,eig_ref@0.5"],
+                "banded eigenstate families reference the k=0 spectrum",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "4", "--hz-min", "1", "--hz-max", "2"]
+                + ["--hz-points", "2", "--families", "uniform@2"],
+                "unknown family 'uniform@2'",
+            ),
         ],
         ids=[
             "w-frac",
@@ -480,6 +489,8 @@ class TestCli:
             "bandwidth-frac-7",
             "eigen-count-banded",
             "eigen-count-ising",
+            "banded-eig-ref-nonzero",
+            "uniform-at-removed",
         ],
     )
     def test_rejected_before_eigensolve(self, argv, match, tmp_path, capsys, monkeypatch):

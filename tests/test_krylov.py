@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import assert_lanczos_structure, lanczos_reference
 from kchaos import (
     ComplexityCurve,
     DegenerateSpectrumError,
@@ -27,8 +26,10 @@ from kchaos import (
 from kchaos.krylov import PRO_MIN_DIM
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
+    assert_lanczos_structure,
     complexity_curve,
     hamiltonian_from_matrix,
+    lanczos_reference,
     tight_binding_propagate,
     time_average_complexity,
     tridiagonal,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import embed
 from kchaos import (
     GaussianProfile,
     UniformComplement,
@@ -17,7 +16,7 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
-from oracles import energy_coefficients, hamiltonian_from_matrix
+from oracles import embed, energy_coefficients, hamiltonian_from_matrix
 
 
 class TestAllUp:

@@ -203,9 +203,8 @@ class TestBandedSweep:
         assert abs(np.mean(strong) - 1.0) <= 0.05
 
     def test_nonzero_eigen_reference_rejected(self):
-        cfg = small_banded_cfg(families=(EigenstatesFamily(ref_param=0.5, count=4),))
         with pytest.raises(ConfigError, match="k=0"):
-            run_banded_sweep(cfg)
+            small_banded_cfg(families=(EigenstatesFamily(ref_param=0.5, count=4),))
 
     def test_threads_do_not_change_results(self):
         serial = run_banded_sweep(small_banded_cfg())
