@@ -229,6 +229,8 @@ def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
     palindromes.  Both sides of a palindrome entry are built from the one
     constant sqrt(2)/2, so the matrix is exactly symmetric.
     """
+    if not np.isfinite(h_z):
+        raise ValueError(f"h_z must be finite, got {h_z:g}")
     basis = parity_basis(n_spins, sector)
     if basis.dim == 0:
         raise ValueError(f"the {sector} sector of N={n_spins} is empty")
@@ -280,6 +282,8 @@ def build_banded_random(dim: int, bandwidth: int, k: float, seed: int) -> Hamilt
         raise ValueError("dim must be >= 2")
     if not 1 <= bandwidth <= dim - 1:
         raise ValueError(f"bandwidth must be in [1, {dim - 1}], got {bandwidth}")
+    if not np.isfinite(k):
+        raise ValueError(f"k must be finite, got {k:g}")
     if k < 0:
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)

@@ -89,6 +89,8 @@ def run_bound_sweep(
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("deltas must be a nonempty 1-D grid")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("deltas must be finite")
     if np.any(np.diff(deltas) <= 0) or deltas[0] < 0:
         raise ValueError("deltas must be strictly increasing and >= 0")
     _check_anchor(j, ham.dim)
@@ -133,7 +135,7 @@ def overlap_scaling_check(
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.size < 4:
         raise ValueError("need at least 4 grid points for a credible fit")
-    if np.any(delta_grid <= 0) or np.any(delta_grid > 0.05):
+    if not np.all((delta_grid > 0) & (delta_grid <= 0.05)):  # rejects nan too
         raise ValueError("delta grid must lie in (0, 0.05]")
     _check_anchor(j, ham.dim)
     if spec is None:

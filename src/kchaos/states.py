@@ -40,6 +40,12 @@ class GaussianProfile:
     center: float
     sigma: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.center):
+            raise ValueError(f"gaussian profile center must be finite, got {self.center:g}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"gaussian profile sigma must be finite and > 0, got {self.sigma:g}")
+
 
 @dataclass(frozen=True)
 class UniformComplement:

@@ -26,7 +26,6 @@ from .hamiltonians import (
     SpectralData,
     build_banded_random,
     build_ising_sector,
-    check_chain,
     eigendecompose,
     parity_basis,
     sector_dim,
@@ -144,14 +143,12 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        default_grid = _lookup_model(self.model).grid
-        grid = np.array(default_grid if self.param_grid is None else self.param_grid, dtype=float)
+        model = _lookup_model(self.model)
+        grid = np.array(model.grid if self.param_grid is None else self.param_grid, dtype=float)
         if grid.size == 0:
             raise ConfigError("param_grid is empty; give at least one grid point")
         if not np.all(np.isfinite(grid)):
             raise ConfigError("param_grid must be finite")
-        if self.model == "ising" and np.any(grid == 0.0):
-            raise ConfigError("h_z = 0 is a symmetry point and must not be on the grid")
         grid.setflags(write=False)
         object.__setattr__(self, "param_grid", grid)
         families = tuple(self.families) or parse_families(self.model)
@@ -159,22 +156,22 @@ class SweepConfig:
         labels = [f.label for f in families]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate family labels: {labels}")
+        # a family some model owns runs on that model only
+        owners = {entry.own_family: name for name, entry in MODELS.items()}
         for fam in families:
-            if isinstance(fam, AllUpFamily) and self.model != "ising":
-                raise ConfigError("the all_up family applies to the ising model only")
-            if isinstance(fam, BorderFamily) and self.model != "banded":
-                raise ConfigError("the border family applies to the banded model only")
+            owner = owners.get(type(fam), self.model)
+            if owner != self.model:
+                raise ConfigError(f"the {fam.label} family applies to the {owner} model only")
             if getattr(fam, "count", 1) < 1:
                 raise ConfigError(f"the {fam.label} family needs count >= 1, got {fam.count}")
-            if self.model == "banded" and isinstance(fam, EigenstatesFamily) and fam.ref_param:
-                raise ConfigError("banded eigenstate families reference the k=0 spectrum")
+            if isinstance(fam, EigenstatesFamily) and not np.isfinite(fam.ref_param):
+                raise ConfigError(
+                    f"the {fam.label} family needs a finite reference parameter, "
+                    f"got {fam.ref_param:g}"
+                )
         if self.n_eta is None:
             object.__setattr__(self, "n_eta", self.n_spins)
-        if self.model == "ising":  # the n_eta chain is first built inside the point loop
-            check_chain(self.n_eta, self.sector)
-        if self.model == "banded":
-            _check_bandwidth_frac(self.bandwidth_frac)
-        dim = sector_dim(self.n_spins, self.sector) if self.model == "ising" else self.dim
+        dim = model.check(self)
         for fam in families:
             if isinstance(fam, EigenstatesFamily) and fam.count > dim:
                 raise ConfigError(
@@ -256,9 +253,55 @@ def banded_hamiltonian(dim: int, bandwidth_frac: float, k: float, seed: int) -> 
     return build_banded_random(dim, bandwidth, k, seed)
 
 
+def _check_levels(dim: int, spectrum: str) -> int:
+    """Reject a spectrum too small for eta, whose spacing ratio needs two spacings."""
+    if dim < 3:
+        raise ConfigError(f"{spectrum} has {dim} levels; eta needs at least 3")
+    return dim
+
+
+def _check_ising(cfg: SweepConfig) -> int:
+    """The ising fields of ``cfg``; returns the dimension of the sweep spectrum."""
+    if np.any(cfg.param_grid == 0.0):
+        raise ConfigError("h_z = 0 is a symmetry point and must not be on the grid")
+    # the n_eta chain is first built inside the point loop
+    _check_levels(sector_dim(cfg.n_eta, cfg.sector), f"the {cfg.sector} sector of N={cfg.n_eta}")
+    dim = _check_levels(
+        sector_dim(cfg.n_spins, cfg.sector), f"the {cfg.sector} sector of N={cfg.n_spins}"
+    )
+    if cfg.sector != "even" and any(isinstance(f, AllUpFamily) for f in cfg.families):
+        raise ConfigError(
+            "the all_up family needs sector = even, where the palindromic all-up state lives"
+        )
+    return dim
+
+
+def _check_banded(cfg: SweepConfig) -> int:
+    """The banded fields of ``cfg``; returns the dimension of the sweep spectrum."""
+    for fam in cfg.families:
+        if isinstance(fam, EigenstatesFamily) and fam.ref_param:
+            raise ConfigError("banded eigenstate families reference the k=0 spectrum")
+    _check_bandwidth_frac(cfg.bandwidth_frac)
+    return _check_levels(cfg.dim, f"a dim = {cfg.dim} matrix")
+
+
+def _ising_eta_levels(cfg: SweepConfig, h_z: float) -> list[np.ndarray] | None:
+    """Levels of the n_eta chain at ``h_z``; None when it is the sweep's own chain."""
+    if cfg.n_eta == cfg.n_spins:
+        return None
+    return [np.linalg.eigvalsh(build_ising_sector(cfg.n_eta, h_z, cfg.sector).matrix)]
+
+
 @dataclass(frozen=True)
 class _Model:
-    """A sweep model as ``sweeps``, ``io`` and ``cli`` read it; one entry of MODELS."""
+    """A sweep model as ``sweeps``, ``io`` and ``cli`` read it; one entry of MODELS.
+
+    ``check`` validates the model's own SweepConfig fields and returns the
+    dimension of the sweep spectrum.  ``own_family`` is the family class only
+    this model runs, if any.  ``eta_levels`` gives the levels of the eta curve
+    at one grid point; where it is None, or returns None, eta comes from the
+    sweep spectra.
+    """
 
     param_name: str
     flag: str
@@ -267,6 +310,9 @@ class _Model:
     families: str
     eigen_count: int
     hamiltonians: Callable[[SweepConfig, float], list[Hamiltonian]]
+    check: Callable[[SweepConfig], int]
+    own_family: type | None
+    eta_levels: Callable[[SweepConfig, float], list[np.ndarray] | None] | None
 
 
 # The field grid covers both integrable ends; the coupling grid brackets the
@@ -276,6 +322,7 @@ MODELS = {
         "h_z", "hz", "spin-chain h_z sweep", np.geomspace(0.05, 4.0, 30),
         "all_up,eig_ref@4,eig_ref@0,random,uniform", 40,
         lambda cfg, h_z: [build_ising_sector(cfg.n_spins, h_z, cfg.sector)],
+        _check_ising, AllUpFamily, _ising_eta_levels,
     ),
     "banded": _Model(
         "k", "k", "banded-model k sweep", np.geomspace(5e-4, 2.0, 20),
@@ -285,6 +332,7 @@ MODELS = {
             banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, derive_seed(cfg.seed, "matrix", r))
             for r in range(cfg.realizations)
         ],
+        _check_banded, BorderFamily, None,
     ),
 }
 
@@ -303,16 +351,16 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, StateVector]] 
     """The (realization, state) pairs each family runs at every grid point;
     None for the current-basis uniform family, rebuilt at each point.  The
     reference spectra are released before the point loop."""
-    basis = parity_basis(cfg.n_spins, cfg.sector) if cfg.model == "ising" else None
+    model = MODELS[cfg.model]
     # the spectra of every realization at one reference parameter at a time
-    hamiltonians = MODELS[cfg.model].hamiltonians
+    hamiltonians = model.hamiltonians
     reference = lru_cache(maxsize=1)(lambda p: [eigendecompose(h) for h in hamiltonians(cfg, p)])
     members = {}
     for fam in cfg.families:
         if isinstance(fam, AllUpFamily):
-            pairs = [(0, state_all_up(basis))]
+            pairs = [(0, state_all_up(parity_basis(cfg.n_spins, cfg.sector)))]
         elif isinstance(fam, RandomFamily):
-            dim = basis.dim if basis else cfg.dim
+            dim = model.check(cfg)
             pairs = [
                 (0, state_random(dim, derive_seed(cfg.seed, "random-state", i)))
                 for i in range(fam.count)
@@ -380,9 +428,8 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
                 min(s.min_spacing for s in specs),
             )
             return None
-        if cfg.model == "ising" and cfg.n_eta != cfg.n_spins:
-            levels = [np.linalg.eigvalsh(build_ising_sector(cfg.n_eta, param, cfg.sector).matrix)]
-        else:
+        levels = model.eta_levels(cfg, param) if model.eta_levels else None
+        if levels is None:
             levels = [s.eigenvalues for s in specs]
         eta_val = float(np.mean([eta(r_ratio_mean(e)) for e in levels]))
         stats: dict[str, FamilyStats] = {}

@@ -35,6 +35,12 @@ def _eigh_must_not_run(ham):
     raise AssertionError("eigendecomposition ran before the input was checked")
 
 
+# config files the rejection cases name, written to their working directory
+REJECTED_CONFIGS = {
+    "odd-all-up.cfg": "model = ising\nsector = odd\nn_spins = 12\nfamilies = eig_ref@4,all_up\n",
+}
+
+
 class TestCsv:
     def test_header_layout(self, tiny_records, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -477,6 +483,62 @@ class TestCli:
                 + ["--hz-points", "2", "--families", "uniform@2"],
                 "unknown family 'uniform@2'",
             ),
+            (
+                ["single-run", "--model", "ising", "--n-spins", "6", "--hz", "nan"],
+                "h_z must be finite, got nan",
+            ),
+            (
+                ["single-run", "--model", "banded", "--dim", "32", "--k", "inf"],
+                "k must be finite, got inf",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "6", "--hz-min", "1", "--hz-max", "2"]
+                + ["--hz-points", "2", "--families", "eig_ref@nan", "--eigen-count", "4"],
+                "the eignan family needs a finite reference parameter, got nan",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "6", "--hz-min", "1", "--hz-max", "2"]
+                + ["--hz-points", "2", "--families", "eig_ref@inf", "--eigen-count", "4"],
+                "the eiginf family needs a finite reference parameter, got inf",
+            ),
+            (
+                ["bound-sweep", "--model", "ising", "--n-spins", "6", "--j", "2"]
+                + ["--profile", "gaussian", "--center", "nan"],
+                "gaussian profile center must be finite, got nan",
+            ),
+            (
+                ["bound-sweep", "--model", "ising", "--n-spins", "6", "--j", "2"]
+                + ["--profile", "gaussian", "--center", "10", "--sigma", "0"],
+                "gaussian profile sigma must be finite and > 0, got 0",
+            ),
+            (
+                ["bound-sweep", "--model", "ising", "--n-spins", "6", "--j", "2"]
+                + ["--deltas", "0.01,nan"],
+                "deltas must be finite",
+            ),
+            (
+                ["scaling-check", "--dim", "16", "--delta-min", "nan"],
+                "delta grid must lie in (0, 0.05]",
+            ),
+            (
+                ["ising-sweep", "--config", "odd-all-up.cfg"],
+                "the all_up family needs sector = even",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "1", "--hz-min", "1", "--hz-max", "2"]
+                + ["--hz-points", "2", "--families", "uniform"],
+                "the even sector of N=1 has 2 levels; eta needs at least 3",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "4", "--n-eta", "1", "--hz-min", "1"]
+                + ["--hz-max", "2", "--hz-points", "2", "--families", "uniform"],
+                "the even sector of N=1 has 2 levels; eta needs at least 3",
+            ),
+            (
+                ["banded-sweep", "--dim", "2", "--k-min", "0.1", "--k-max", "1"]
+                + ["--k-points", "2", "--families", "uniform"],
+                "a dim = 2 matrix has 2 levels; eta needs at least 3",
+            ),
         ],
         ids=[
             "w-frac",
@@ -491,9 +553,26 @@ class TestCli:
             "eigen-count-ising",
             "banded-eig-ref-nonzero",
             "uniform-at-removed",
+            "hz-nan",
+            "k-inf",
+            "eig-ref-nan",
+            "eig-ref-inf",
+            "center-nan",
+            "sigma-0",
+            "deltas-nan",
+            "scaling-delta-nan",
+            "all-up-odd-sector-config",
+            "n-spins-1",
+            "n-eta-1",
+            "banded-dim-2",
         ],
     )
-    def test_rejected_before_eigensolve(self, argv, match, tmp_path, capsys, monkeypatch):
+    def test_rejected_before_eigensolve(
+        self, argv, match, tmp_path, tmp_path_factory, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path_factory.mktemp("configs"))
+        for name, text in REJECTED_CONFIGS.items():
+            Path(name).write_text(text)
         monkeypatch.setattr("kchaos.cli.eigendecompose", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.sweeps.eigendecompose", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.perturbation.eigendecompose", _eigh_must_not_run)

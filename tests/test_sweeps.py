@@ -14,6 +14,7 @@ from kchaos import (
     SweepConfig,
     UniformFamily,
     build_banded_random,
+    build_goe,
     derive_seed,
     eta,
     postprocess_normalize,
@@ -83,6 +84,30 @@ class TestConfigValidation:
             run_banded_sweep(small_ising_cfg())
         with pytest.raises(ConfigError):
             run_ising_sweep(small_banded_cfg())
+
+
+class TestModelTable:
+    def test_model_is_its_table_entry(self, monkeypatch):
+        # a third model, GOE draws seeded by the grid point, added as one MODELS entry
+        goe = kchaos.sweeps._Model(
+            "s", "s", "GOE test sweep", np.array([1.0, 2.0]), "uniform,random", 4,
+            lambda cfg, s: [build_goe(cfg.dim, derive_seed(cfg.seed, "goe", int(s)))],
+            lambda cfg: cfg.dim, None, None,
+        )
+        monkeypatch.setitem(kchaos.sweeps.MODELS, "goe", goe)
+        families = kchaos.sweeps.parse_families("goe", random_count=3)
+        cfg = SweepConfig(model="goe", dim=48, families=families, seed=5)
+        records = kchaos.sweeps._sweep(cfg, "goe")
+        assert [r.param for r in records] == [1.0, 2.0]
+        for rec in records:
+            assert np.isfinite(rec.eta)
+            for stats in rec.families.values():
+                assert np.isfinite([stats.c_bar_norm, stats.inv_sigma_a, stats.inv_sigma_b]).all()
+            assert rec.families["uniform"].c_bar_norm == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ConfigError, match="the all_up family applies to the ising model only"):
+            SweepConfig(model="goe", dim=48, families=(AllUpFamily(),))
+        with pytest.raises(ConfigError, match="the border family applies to the banded model only"):
+            SweepConfig(model="goe", dim=48, families=(BorderFamily(),))
 
 
 class TestSeedDerivation:
