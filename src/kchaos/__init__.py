@@ -69,7 +69,6 @@ from .sweeps import (
     SweepRecord,
     UniformFamily,
     derive_seed,
-    postprocess_normalize,
     run_banded_sweep,
     run_ising_sweep,
 )

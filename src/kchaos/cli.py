@@ -23,9 +23,8 @@ from .io import (
     parse_bool,
     parse_floats,
     read_config_pairs,
+    records_to_table,
     render_line_chart,
-    render_svg,
-    write_csv,
     write_table,
 )
 from .krylov import complexity_values, default_time_grid, lanczos_full_orth, saturation
@@ -40,8 +39,8 @@ from .states import (
 )
 from .sweeps import (
     MODELS,
+    _check_levels,
     banded_hamiltonian,
-    postprocess_normalize,
     run_banded_sweep,
     run_ising_sweep,
 )
@@ -145,16 +144,18 @@ def _cmd_sweep(args) -> None:
             pairs[key] = str(value).lower() if isinstance(value, bool) else str(value)
     cfg = build_sweep_config(pairs)
     records = (run_ising_sweep if model == "ising" else run_banded_sweep)(cfg)
-    if len(records) >= 2:
-        records = postprocess_normalize(records)
     stem = f"{model}_sweep"
     csv_path = args.out / f"{stem}.csv"
     labels = [f.label for f in cfg.families]
-    write_csv(records, csv_path, family_labels=labels)
+    header, table = records_to_table(records, labels)
+    write_table(csv_path, header, table)
     (args.out / f"{stem}.meta.txt").write_text(config_summary(cfg), newline="\n")
     for chart, column, title in _SWEEP_CHARTS if records else ():
         columns = ["eta"] + [f"{lab}_{column}" for lab in labels]
-        render_svg(records, columns, args.out / f"{stem}_{chart}.svg", title=title)
+        series = [(c, table[:, header.index(c)]) for c in columns]
+        render_line_chart(
+            table[:, 0], series, args.out / f"{stem}_{chart}.svg", title=title, x_label="param"
+        )
     print(f"{stem}: {len(records)} grid points -> {csv_path}")
 
 
@@ -228,6 +229,7 @@ def _cmd_single_run(args) -> None:
             raise ConfigError("--state all_up requires --model ising")
         psi = state_all_up(parity_basis(args.n_spins, args.sector))
     ham, tag = _model_from_args(args)
+    _check_levels(ham.dim, tag)
     if state_kind == "random":
         psi = state_random(ham.dim, args.state_seed)
     spec = eigendecompose(ham)

@@ -26,17 +26,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def sweep_header(family_labels: list[str]) -> list[str]:
-    cols = ["param", "eta"]
-    for fam in family_labels:
-        cols.extend(f"{fam}_{stat}" for stat in _STAT_COLUMNS)
-    return cols
-
-
-def records_to_table(records: list[SweepRecord]) -> tuple[list[str], np.ndarray]:
-    """Flatten sweep records into a header plus a float table."""
-    labels = list(records[0].families.keys()) if records else []
-    header = sweep_header(labels)
+def records_to_table(
+    records: list[SweepRecord], labels: list[str]
+) -> tuple[list[str], np.ndarray]:
+    """Flatten sweep records into a header plus a float table: ``param``,
+    ``eta``, then five columns per family in ``labels`` order."""
+    header = ["param", "eta"] + [f"{fam}_{stat}" for fam in labels for stat in _STAT_COLUMNS]
     rows = []
     for rec in records:
         row = [rec.param, rec.eta]
@@ -58,45 +53,12 @@ def write_table(path: str | Path, header: list[str], rows: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
-def write_csv(
-    records: list[SweepRecord], path: str | Path, family_labels: list[str] | None = None
-) -> None:
-    """Serialize sweep records; an empty list yields a header-only file."""
-    if records:
-        header, table = records_to_table(records)
-    else:
-        header = sweep_header(family_labels or [])
-        table = np.empty((0, len(header)))
-    write_table(path, header, table)
-
-
 # ---------------------------------------------------------------------------
 # SVG rendering
 
 _PALETTE = ("#000000", "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b")
 _WIDTH, _HEIGHT = 840, 520
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 170, 30, 50
-
-
-def render_svg(
-    records: list[SweepRecord],
-    columns: list[str],
-    path: str | Path,
-    title: str = "",
-) -> None:
-    """Simple multi-series line chart of selected sweep columns vs param.
-
-    The x axis switches to log scale when the parameter grid spans more than
-    a decade.  Purely deterministic output.
-    """
-    header, table = records_to_table(records)
-    if table.shape[0] == 0:
-        raise ValueError("cannot render an empty sweep")
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ValueError(f"unknown columns {missing}; available: {header}")
-    series = [(c, table[:, header.index(c)]) for c in columns]
-    render_line_chart(table[:, 0], series, path, title=title, x_label="param")
 
 
 def render_line_chart(
@@ -107,7 +69,11 @@ def render_line_chart(
     x_label: str = "x",
     log_x: bool | None = None,
 ) -> None:
-    """Deterministic polyline SVG of named series against a common x grid."""
+    """Deterministic polyline SVG of named series against a common x grid.
+
+    With ``log_x`` None the x axis is logarithmic when x is positive and
+    spans more than a decade.
+    """
     x = np.asarray(x, dtype=float)
     if log_x is None:
         log_x = bool(np.all(x > 0) and x.max() / x.min() > 10.0)
@@ -146,10 +112,10 @@ def render_line_chart(
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
-        x_label = f"{10 ** xv:.3g}" if log_x else f"{xv:.3g}"
+        tick = f"{10 ** xv:.3g}" if log_x else f"{xv:.3g}"
         parts.append(
             f'<text x="{px(xv):.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-size="11">{x_label}</text>'
+            f'font-size="11">{tick}</text>'
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{py(yv):.2f}" text-anchor="end" '

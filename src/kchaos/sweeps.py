@@ -4,7 +4,7 @@ A sweep walks a control-parameter grid (magnetic field for the spin chain,
 coupling strength for the banded model), measures the spectral chaos value
 eta at every point, and for each configured family of initial states records
 the normalized complexity saturation and the inverse dispersions of both
-Lanczos sequences.  All randomness is derived from one master seed with
+Lanczos sequences, also mapped onto the eta scale of the same sweep.  All randomness is derived from one master seed with
 counter-based keys, so results are independent of execution order and thread
 count.
 """
@@ -406,7 +406,8 @@ def _stats_from_rows(rows: list[tuple[float, float, float]]) -> FamilyStats:
 
 
 def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
-    """The one point loop, threaded over points when asked, in grid order.
+    """The one point loop, threaded over points when asked, in grid order,
+    with the normalized columns filled.
 
     Points where any realization is flagged near-degenerate are skipped with
     a logged warning.
@@ -447,7 +448,7 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
             results = list(pool.map(point, indices))
     else:
         results = [point(i) for i in indices]
-    return [r for r in results if r is not None]
+    return _normalize([r for r in results if r is not None])
 
 
 def run_ising_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -486,17 +487,16 @@ def _normalize_partial(col: np.ndarray, eta_col: np.ndarray) -> np.ndarray:
     return out
 
 
-def postprocess_normalize(records: list[SweepRecord]) -> list[SweepRecord]:
+def _normalize(records: list[SweepRecord]) -> list[SweepRecord]:
     """Fill the normalized inverse-dispersion columns of a sweep.
 
     Each family's 1/sigma curves are mapped onto the eta scale of the same
     sweep; the saturation column keeps its natural normalization and is left
-    untouched.  Returns new records.
+    untouched.  Returns new records; with fewer than two records every
+    normalized value is nan.
     """
-    if len(records) < 2:
-        raise ValueError("need at least 2 records to normalize a sweep")
     eta_col = np.array([r.eta for r in records])
-    labels = list(records[0].families.keys())
+    labels = list(records[0].families.keys()) if records else []
     normalized: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for label in labels:
         a_col = np.array([r.families[label].inv_sigma_a for r in records])

@@ -357,7 +357,8 @@ def _average_ranks(v):
 
 
 def read_csv(path):
-    """Inverse of ``io.write_csv``: the sweep records of a sweep CSV."""
+    """Inverse of ``io.records_to_table`` and ``io.write_table``: the sweep
+    records of a sweep CSV."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln for ln in text.split("\n") if ln]
     header = lines[0].split(",")

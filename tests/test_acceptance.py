@@ -26,7 +26,6 @@ from kchaos import (
     normalize_to_eta,
     overlap_scaling_check,
     parity_basis,
-    postprocess_normalize,
     r_ratio_mean,
     run_banded_sweep,
     run_bound_sweep,
@@ -140,7 +139,7 @@ def ising_transition_records():
         families=(AllUpFamily(), UniformFamily()),
         seed=20,
     )
-    return postprocess_normalize(run_ising_sweep(cfg))
+    return run_ising_sweep(cfg)
 
 
 def test_c01_exact_delocalized_saturation(uniform_runs):

@@ -1,18 +1,20 @@
+import dataclasses
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kchaos.sweeps
 from kchaos import AllUpFamily, ConfigError, SweepConfig, UniformFamily, run_ising_sweep
-from kchaos.cli import main
+from kchaos.cli import _build_parser, main
 from kchaos.io import (
     CONFIG_KEYS,
     build_sweep_config,
     config_summary,
+    records_to_table,
     render_line_chart,
-    render_svg,
-    sweep_header,
-    write_csv,
+    write_table,
 )
 from oracles import parse_config, read_csv
 
@@ -26,9 +28,10 @@ def tiny_records():
         families=(AllUpFamily(), UniformFamily()),
         seed=1,
     )
-    from kchaos import postprocess_normalize
+    return run_ising_sweep(cfg)
 
-    return postprocess_normalize(run_ising_sweep(cfg))
+
+TINY_LABELS = ["all_up", "uniform"]
 
 
 def _eigh_must_not_run(ham):
@@ -44,7 +47,7 @@ REJECTED_CONFIGS = {
 class TestCsv:
     def test_header_layout(self, tiny_records, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_csv(tiny_records, path)
+        write_table(path, *records_to_table(tiny_records, TINY_LABELS))
         header = path.read_text().split("\n")[0].split(",")
         assert header[:2] == ["param", "eta"]
         assert header[2:7] == [
@@ -60,7 +63,7 @@ class TestCsv:
 
     def test_round_trip(self, tiny_records, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_csv(tiny_records, path)
+        write_table(path, *records_to_table(tiny_records, TINY_LABELS))
         back = read_csv(path)
         assert len(back) == len(tiny_records)
         for a, b in zip(tiny_records, back):
@@ -79,29 +82,37 @@ class TestCsv:
                     )
 
     def test_empty_records_header_only(self, tmp_path):
+        header, table = records_to_table([], ["all_up"])
+        assert header[:3] == ["param", "eta", "all_up_cbar_norm"] and len(header) == 7
+        assert table.shape == (0, 7)
         path = tmp_path / "empty.csv"
-        write_csv([], path, family_labels=["all_up"])
-        assert path.read_text() == ",".join(sweep_header(["all_up"])) + "\n"
+        write_table(path, header, table)
+        assert path.read_text() == ",".join(header) + "\n"
 
 
 class TestSvg:
     def test_renders_series_and_is_deterministic(self, tiny_records, tmp_path):
-        p1 = tmp_path / "a.svg"
-        p2 = tmp_path / "b.svg"
+        header, table = records_to_table(tiny_records, TINY_LABELS)
         cols = ["eta", "all_up_cbar_norm", "uniform_cbar_norm"]
-        render_svg(tiny_records, cols, p1)
-        render_svg(tiny_records, cols, p2)
-        body = p1.read_text()
+        series = [(c, table[:, header.index(c)]) for c in cols]
+        paths = [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for path in paths:
+            render_line_chart(table[:, 0], series, path, x_label="param")
+        body = paths[0].read_text()
         assert body.count("<polyline") == 3
-        assert body == p2.read_text()
+        assert body == paths[1].read_text()
 
-    def test_unknown_column(self, tiny_records, tmp_path):
-        with pytest.raises(ValueError, match="unknown columns"):
-            render_svg(tiny_records, ["nope"], tmp_path / "x.svg")
-
-    def test_empty_records(self, tmp_path):
-        with pytest.raises(ValueError, match="empty"):
-            render_svg([], ["eta"], tmp_path / "x.svg")
+    @pytest.mark.parametrize(
+        "x, title",
+        [([0.1, 1.0, 10.0, 100.0], "param (log scale)"), ([1.0, 2.0, 3.0, 4.0], "param")],
+        ids=["log", "linear"],
+    )
+    def test_x_axis_title(self, x, title, tmp_path):
+        path = tmp_path / "x.svg"
+        render_line_chart(np.array(x), [("y", np.arange(4.0))], path, x_label="param")
+        # the axis title is the one 12-point text; ticks are 11, the chart title 14
+        lines = [ln for ln in path.read_text().splitlines() if 'font-size="12"' in ln]
+        assert [ln.split(">")[1].removesuffix("</text") for ln in lines] == [title]
 
     def test_nan_points_skipped(self, tmp_path):
         # a halted family leaves nan points; the others keep a finite y range
@@ -309,6 +320,26 @@ class TestCli:
             st = rec.families["all_up"]
             assert np.isfinite(st.inv_sigma_b)
             assert np.isnan(st.inv_sigma_a_norm) and np.isnan(st.inv_sigma_b_norm)
+
+    def test_every_point_skipped_writes_header_only(self, tmp_path, capsys, monkeypatch):
+        real_eigendecompose = kchaos.sweeps.eigendecompose
+
+        def always_degenerate(ham, *args, **kwargs):
+            spec = real_eigendecompose(ham, *args, **kwargs)
+            return dataclasses.replace(spec, near_degenerate=True)
+
+        monkeypatch.setattr(kchaos.sweeps, "eigendecompose", always_degenerate)
+        argv = ["ising-sweep", "--n-spins", "6", "--hz-min", "1", "--hz-max", "2"]
+        argv += ["--hz-points", "2", "--families", "all_up,uniform", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        header, _ = records_to_table([], ["all_up", "uniform"])
+        assert (tmp_path / "ising_sweep.csv").read_text() == ",".join(header) + "\n"
+        assert "families = all_up,uniform" in (tmp_path / "ising_sweep.meta.txt").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ising_sweep.csv",
+            "ising_sweep.meta.txt",
+        ]
+        assert "ising_sweep: 0 grid points" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -539,6 +570,13 @@ class TestCli:
                 + ["--k-points", "2", "--families", "uniform"],
                 "a dim = 2 matrix has 2 levels; eta needs at least 3",
             ),
+            (["single-run", "--model", "goe", "--dim", "2"], "goe D=2 has 2 levels"),
+            (["single-run", "--model", "banded", "--dim", "2"], "banded D=2 b=1 k=1 has 2 levels"),
+            (
+                ["single-run", "--model", "ising", "--n-spins", "2", "--sector", "odd"]
+                + ["--state", "random"],
+                "ising N=2 odd hz=1.02 has 1 levels; eta needs at least 3",
+            ),
         ],
         ids=[
             "w-frac",
@@ -565,6 +603,9 @@ class TestCli:
             "n-spins-1",
             "n-eta-1",
             "banded-dim-2",
+            "single-run-goe-dim-2",
+            "single-run-banded-dim-2",
+            "single-run-ising-dim-1",
         ],
     )
     def test_rejected_before_eigensolve(
@@ -640,6 +681,18 @@ def test_every_sweep_flag_reaches_meta(command, tmp_path, capsys):
     for args, line in flags:
         assert line in meta, args
     assert len(read_csv(tmp_path / f"{stem}.csv")) == 2
+
+
+def test_readme_commands_parse():
+    """Every ``kchaos`` command of the README's command-line block parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("kchaos ")]
+    assert len(commands) == 5
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_readme_library_sketch_runs():

@@ -17,7 +17,6 @@ from kchaos import (
     build_goe,
     derive_seed,
     eta,
-    postprocess_normalize,
     r_ratio_mean,
     run_banded_sweep,
     run_ising_sweep,
@@ -178,7 +177,7 @@ class TestIsingSweep:
         curves = {}
         for n in (8, 10):
             cfg = small_ising_cfg(n_spins=n, n_eta=10, param_grid=grid)
-            records = postprocess_normalize(run_ising_sweep(cfg))
+            records = run_ising_sweep(cfg)
             curves[n] = np.array(
                 [
                     (r.families["all_up"].c_bar_norm, r.families["all_up"].inv_sigma_b_norm)
@@ -240,7 +239,7 @@ class TestBandedSweep:
 
 class TestPostprocess:
     def test_normalized_columns_filled(self):
-        records = postprocess_normalize(run_ising_sweep(small_ising_cfg()))
+        records = run_ising_sweep(small_ising_cfg())
         eta_col = np.array([r.eta for r in records])
         for label in ("all_up", "uniform"):
             col = np.array([r.families[label].inv_sigma_b_norm for r in records])
@@ -257,28 +256,30 @@ class TestPostprocess:
                 for label, st in rec.families.items()
             }
             doctored.append(dataclasses.replace(rec, families=fams))
-        out = postprocess_normalize(doctored)
+        out = kchaos.sweeps._normalize(doctored)
         got = np.array([r.families["all_up"].inv_sigma_a_norm for r in out])
         assert np.allclose(got, eta_col, atol=1e-12)
 
     def test_saturation_column_untouched(self):
         records = run_ising_sweep(small_ising_cfg())
-        out = postprocess_normalize(records)
+        out = kchaos.sweeps._normalize(records)
         for before, after in zip(records, out):
             for label in before.families:
                 assert before.families[label].c_bar_norm == after.families[label].c_bar_norm
 
-    def test_needs_two_records(self):
+    def test_one_point_sweep_gives_nan_columns(self):
         records = run_ising_sweep(small_ising_cfg(param_grid=np.array([1.0])))
-        with pytest.raises(ValueError):
-            postprocess_normalize(records)
+        assert len(records) == 1
+        for st in records[0].families.values():
+            assert np.isfinite(st.inv_sigma_a) and np.isfinite(st.inv_sigma_b)
+            assert np.isnan(st.inv_sigma_a_norm) and np.isnan(st.inv_sigma_b_norm)
 
     def test_partial_normalization_keeps_nan(self):
         cfg = small_ising_cfg(
             families=(EigenstatesFamily(ref_param=3.0, count=4), AllUpFamily()),
             param_grid=np.array([0.5, 1.0, 3.0]),
         )
-        out = postprocess_normalize(run_ising_sweep(cfg))
+        out = run_ising_sweep(cfg)
         col = np.array([r.families["eig3"].inv_sigma_b_norm for r in out])
         assert np.isnan(col[-1]) and np.all(np.isfinite(col[:-1]))
 
