@@ -50,7 +50,6 @@ from .perturbation import (
 )
 from .states import (
     GaussianProfile,
-    StateVector,
     UniformComplement,
     select_center_states,
     state_all_up,

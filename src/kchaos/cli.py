@@ -142,6 +142,8 @@ def _cmd_sweep(args) -> None:
         value = getattr(args, key, None)
         if value is not None:
             pairs[key] = str(value).lower() if isinstance(value, bool) else str(value)
+            if CONFIG_KEYS[key].into == "param_grid":
+                pairs.pop("param_values", None)  # grid flags replace the file's grid
     cfg = build_sweep_config(pairs)
     records = (run_ising_sweep if model == "ising" else run_banded_sweep)(cfg)
     stem = f"{model}_sweep"
@@ -236,9 +238,9 @@ def _cmd_single_run(args) -> None:
     if state_kind == "uniform":
         psi = state_uniform_eigenbasis(spec)
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=args.allow_degenerate)
-    rep = saturation(spec, lan, psi, allow_degenerate=args.allow_degenerate)
+    rep = saturation(lan, allow_degenerate=args.allow_degenerate)
     times = default_time_grid(spec.spectral_range, ham.dim, n_points=args.t_points)
-    curve = complexity_values(spec, lan, psi, times)
+    curve = complexity_values(lan, times)
     write_table(
         args.out / "single_run.csv", ["t", "c_k"], np.column_stack([curve.times, curve.values])
     )
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

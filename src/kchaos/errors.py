@@ -2,7 +2,8 @@
 
 ``ConfigError`` maps to CLI exit code 1, ``NumericalError`` (and its
 subclasses) to exit code 2.  Plain ``ValueError`` is used for ordinary
-bad-argument situations and also maps to exit code 1 at the CLI boundary.
+bad-argument situations and also maps to exit code 1 at the CLI boundary, as
+does an ``OSError`` (a missing config file, an output path that is a file).
 """
 
 

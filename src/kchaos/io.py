@@ -235,6 +235,8 @@ def _param_grid(param_values=None, param_scale: str = "log", **bounds) -> np.nda
     """The sweep grid from explicit values or from min/max/points and a scale;
     None when no grid key is given."""
     if param_values is not None:
+        if bounds:
+            raise ConfigError(f"param_values cannot be combined with {', '.join(sorted(bounds))}")
         return param_values
     if not bounds:
         return None

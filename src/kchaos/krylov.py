@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, OrthogonalityLossError
 from .hamiltonians import Hamiltonian, SpectralData
-from .states import StateVector
 
 DEFAULT_B_TOL = 1e-12
 DEFAULT_ORTHO_TOL = 1e-10
@@ -35,12 +34,12 @@ CHUNK_TIMES = 16384
 
 @dataclass(frozen=True)
 class LanczosResult:
-    """Lanczos coefficients and the orthonormal Krylov basis.
+    """Lanczos coefficients, the orthonormal Krylov basis and the spectrum
+    the run was gated and scaled with.
 
     ``a`` holds the K diagonal coefficients, ``b`` the K-1 positive
     off-diagonal ones (the leading b_0 = 0 is omitted).  ``basis`` has the
-    Krylov vectors as columns.  ``halt_index`` records the step at which the
-    recursion found a vanishing norm, or None when it ran to full dimension.
+    Krylov vectors as columns; its first column is the seed state.
     ``ortho_residual`` is the largest deviation of the basis Gram matrix from
     the identity, and ``reorth_passes`` the number of Gram-Schmidt passes the
     run made, repeats included.
@@ -50,13 +49,14 @@ class LanczosResult:
     b: np.ndarray
     basis: np.ndarray
     krylov_dim: int
-    halt_index: int | None
     ortho_residual: float
     reorth_passes: int
+    spec: SpectralData
 
     @property
     def halted_early(self) -> bool:
-        return self.halt_index is not None
+        """The recursion found a vanishing norm before full dimension."""
+        return self.krylov_dim < self.spec.dim
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _check_degeneracy(spec: SpectralData, allow_degenerate: bool) -> None:
 
 def lanczos_full_orth(
     ham: Hamiltonian,
-    psi0: StateVector,
+    psi0: np.ndarray,
     spec: SpectralData,
     allow_degenerate: bool = False,
     ortho_tol: float = DEFAULT_ORTHO_TOL,
@@ -117,7 +117,7 @@ def lanczos_full_orth(
     ----------
     ham : Hamiltonian
         Real symmetric matrix driving the recursion.
-    psi0 : StateVector
+    psi0 : np.ndarray
         Unit seed vector in the same basis as the matrix.
     spec : SpectralData
         Eigendecomposition of ``ham``: supplies the spectral scale, ||H|| for
@@ -132,9 +132,11 @@ def lanczos_full_orth(
     LanczosResult
     """
     dim = ham.dim
-    v = np.asarray(psi0.amplitudes)
-    if v.shape != (dim,):
-        raise ValueError(f"state dimension {v.shape} does not match matrix dimension {dim}")
+    v = np.asarray(psi0)
+    if v.shape != (dim,) or spec.dim != dim:
+        raise ValueError(
+            f"state {v.shape} and spectrum ({spec.dim},) must match matrix dimension {dim}"
+        )
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     _check_degeneracy(spec, allow_degenerate)
@@ -165,7 +167,6 @@ def lanczos_full_orth(
     a[0] = np.real(np.vdot(v, w))
     w = w - a[0] * v
     k = 1
-    halt_index = None
     for n in range(1, dim):
         prev = q[:n]
         b_n = np.linalg.norm(w)
@@ -198,7 +199,6 @@ def lanczos_full_orth(
             if partial:
                 new[:n] = eps
         if b_n < DEFAULT_B_TOL * scale:
-            halt_index = n
             break
         if partial:
             new[n] = 1.0
@@ -224,50 +224,34 @@ def lanczos_full_orth(
         b=b[: k - 1],
         basis=basis,
         krylov_dim=k,
-        halt_index=halt_index,
         ortho_residual=ortho_resid,
         reorth_passes=passes,
+        spec=spec,
     )
 
 
-def _eigen_overlaps(spec: SpectralData, lan: LanczosResult) -> np.ndarray:
+def _eigen_overlaps(lan: LanczosResult) -> np.ndarray:
     """Matrix <K_n|e_i> of shape (K, D)."""
-    return lan.basis.conj().T @ spec.eigenvectors
+    return lan.basis.conj().T @ lan.spec.eigenvectors
 
 
-def _seed_check(lan: LanczosResult, psi0: StateVector) -> None:
-    overlap = abs(np.vdot(lan.basis[:, 0], psi0.amplitudes))
-    if abs(overlap - 1.0) > 1e-10:
-        raise ValueError("psi0 is not the seed state of this Krylov basis")
+def _seed_weights(lan: LanczosResult) -> np.ndarray:
+    """Eigenbasis coefficients <e_i|psi0> of the seed, the first Krylov vector."""
+    return lan.spec.eigenvectors.T @ lan.basis[:, 0]
 
 
-def krylov_amplitudes(
-    spec: SpectralData,
-    lan: LanczosResult,
-    psi0: StateVector,
-    times: np.ndarray,
-) -> np.ndarray:
+def krylov_amplitudes(lan: LanczosResult, times: np.ndarray) -> np.ndarray:
     """Spectral-method amplitudes psi_n(t) on the Krylov chain.
 
     Returns the (K, len(times)) complex matrix with
     psi_n(t) = sum_i exp(-i e_i t) <K_n|e_i><e_i|psi0>.
     """
-    if spec.dim != lan.basis.shape[0] or psi0.dim != spec.dim:
-        raise ValueError("spec, lan and psi0 must share one Hilbert space dimension")
-    _seed_check(lan, psi0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    overlaps = _eigen_overlaps(spec, lan)
-    weights = spec.eigenvectors.T @ np.asarray(psi0.amplitudes)
-    phases = np.exp(-1j * spec.eigenvalues[:, None] * times[None, :])
-    return overlaps @ (weights[:, None] * phases)
+    phases = np.exp(-1j * lan.spec.eigenvalues[:, None] * times[None, :])
+    return _eigen_overlaps(lan) @ (_seed_weights(lan)[:, None] * phases)
 
 
-def complexity_values(
-    spec: SpectralData,
-    lan: LanczosResult,
-    psi0: StateVector,
-    times: np.ndarray,
-) -> ComplexityCurve:
+def complexity_values(lan: LanczosResult, times: np.ndarray) -> ComplexityCurve:
     """Spectral-method complexity curve C(t) = sum_n n |psi_n(t)|^2,
     evaluated ``CHUNK_TIMES`` times at a time.
 
@@ -280,17 +264,12 @@ def complexity_values(
     positions = np.arange(lan.krylov_dim)
     for start in range(0, times.shape[0], CHUNK_TIMES):
         chunk = times[start : start + CHUNK_TIMES]
-        amps = krylov_amplitudes(spec, lan, psi0, chunk)
+        amps = krylov_amplitudes(lan, chunk)
         values[start : start + chunk.shape[0]] = positions @ (np.abs(amps) ** 2)
     return ComplexityCurve(times=times, values=values)
 
 
-def saturation(
-    spec: SpectralData,
-    lan: LanczosResult,
-    psi0: StateVector,
-    allow_degenerate: bool = False,
-) -> SaturationReport:
+def saturation(lan: LanczosResult, allow_degenerate: bool = False) -> SaturationReport:
     """Exact infinite-time average of the Krylov complexity.
 
     For a nondegenerate spectrum the time average of C(t) equals
@@ -298,15 +277,14 @@ def saturation(
     recursion halted at K < D the weights are supported on n < K and the
     formula remains valid inside the Krylov subspace.
     """
+    spec = lan.spec
     _check_degeneracy(spec, allow_degenerate)
-    if spec.dim != lan.basis.shape[0] or psi0.dim != spec.dim:
-        raise ValueError("spec, lan and psi0 must share one Hilbert space dimension")
-    overlaps = _eigen_overlaps(spec, lan)
+    overlaps = _eigen_overlaps(lan)
     if np.iscomplexobj(overlaps):
         overlaps = np.abs(overlaps)
     # |<K_n|e_i>|^2 in place, so a real basis needs one K x D array, not two
     overlaps *= overlaps
-    weights = np.abs(spec.eigenvectors.T @ np.asarray(psi0.amplitudes)) ** 2
+    weights = np.abs(_seed_weights(lan)) ** 2
     q = overlaps @ weights
     q0n = np.zeros(spec.dim)
     q0n[: lan.krylov_dim] = q

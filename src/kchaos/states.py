@@ -1,10 +1,10 @@
 """Initial-state constructors.
 
-All constructors return unit vectors expressed in the basis the Hamiltonian
-matrix itself lives in (the "sector" basis); states defined through an
-eigenbasis are rotated back with the eigenvector matrix.  Amplitudes are kept
-real wherever the construction allows, which keeps the Lanczos recursion in
-real arithmetic.
+All constructors return read-only unit arrays expressed in the basis the
+Hamiltonian matrix itself lives in (the "sector" basis); states defined
+through an eigenbasis are rotated back with the eigenvector matrix.
+Amplitudes are kept real wherever the construction allows, which keeps the
+Lanczos recursion in real arithmetic.
 """
 
 from __future__ import annotations
@@ -16,17 +16,6 @@ import numpy as np
 from .hamiltonians import ParityBasis, SpectralData
 
 NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm amplitude vector in the basis the Hamiltonian matrix uses."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -52,16 +41,16 @@ class UniformComplement:
     """Equal amplitude moduli on every eigenstate except the anchored one."""
 
 
-def _make_state(amplitudes: np.ndarray) -> StateVector:
+def _make_state(amplitudes: np.ndarray) -> np.ndarray:
     amplitudes = np.asarray(amplitudes)
     norm = np.linalg.norm(amplitudes)
     if abs(norm - 1.0) > NORM_TOL:
         amplitudes = amplitudes / norm
     amplitudes.setflags(write=False)
-    return StateVector(amplitudes=amplitudes)
+    return amplitudes
 
 
-def state_all_up(basis: ParityBasis) -> StateVector:
+def state_all_up(basis: ParityBasis) -> np.ndarray:
     """The all-spins-up product state inside the even parity sector.
 
     All-up is palindromic under chain reflection, so it exists only in the
@@ -77,13 +66,13 @@ def state_all_up(basis: ParityBasis) -> StateVector:
     return _make_state(amplitudes)
 
 
-def state_uniform_eigenbasis(spec: SpectralData) -> StateVector:
+def state_uniform_eigenbasis(spec: SpectralData) -> np.ndarray:
     """State with equal weight 1/D on every eigenstate, all phases +1."""
     coeffs = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
     return _make_state(spec.eigenvectors @ coeffs)
 
 
-def state_random(dim: int, seed: int) -> StateVector:
+def state_random(dim: int, seed: int) -> np.ndarray:
     """Normalized vector of i.i.d. standard-normal entries (real).
 
     Real Gaussian amplitudes stay Gaussian in any orthogonal eigenbasis, so the
@@ -96,7 +85,7 @@ def state_random(dim: int, seed: int) -> StateVector:
     return _make_state(v / np.linalg.norm(v))
 
 
-def state_eigenstate(spec_ref: SpectralData, index: int) -> StateVector:
+def state_eigenstate(spec_ref: SpectralData, index: int) -> np.ndarray:
     """The ``index``-th eigenvector of a reference Hamiltonian."""
     if not 0 <= index < spec_ref.dim:
         raise ValueError(f"eigenstate index {index} out of range [0, {spec_ref.dim})")
@@ -108,7 +97,7 @@ def state_perturbed(
     j: int,
     tilde_profile: GaussianProfile | UniformComplement,
     delta: float,
-) -> StateVector:
+) -> np.ndarray:
     """Eigenstate j plus a weight-delta admixture orthogonal to it.
 
     The state is ``(|e_j> + delta |t>) / sqrt(1 + delta^2)`` where ``|t>`` is

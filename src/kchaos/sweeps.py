@@ -33,7 +33,6 @@ from .hamiltonians import (
 from .krylov import lanczos_full_orth, saturation
 from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
 from .states import (
-    StateVector,
     select_center_states,
     state_all_up,
     state_eigenstate,
@@ -281,6 +280,8 @@ def _check_banded(cfg: SweepConfig) -> int:
     for fam in cfg.families:
         if isinstance(fam, EigenstatesFamily) and fam.ref_param:
             raise ConfigError("banded eigenstate families reference the k=0 spectrum")
+    if np.any(cfg.param_grid < 0):
+        raise ConfigError(f"k must be >= 0 on the grid, got {cfg.param_grid.min():g}")
     _check_bandwidth_frac(cfg.bandwidth_frac)
     return _check_levels(cfg.dim, f"a dim = {cfg.dim} matrix")
 
@@ -347,7 +348,7 @@ def _lookup_model(name: str) -> _Model:
 # the sweep
 
 
-def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, StateVector]] | None]:
+def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, np.ndarray]] | None]:
     """The (realization, state) pairs each family runs at every grid point;
     None for the current-basis uniform family, rebuilt at each point.  The
     reference spectra are released before the point loop."""
@@ -379,11 +380,11 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, StateVector]] 
 def _member_stats(
     ham: Hamiltonian,
     spec: SpectralData,
-    psi: StateVector,
+    psi: np.ndarray,
     cfg: SweepConfig,
 ) -> tuple[float, float, float]:
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=cfg.allow_degenerate)
-    rep = saturation(spec, lan, psi, allow_degenerate=cfg.allow_degenerate)
+    rep = saturation(lan, allow_degenerate=cfg.allow_degenerate)
     try:
         inv_a = 1.0 / sigma_moving(lan.a, cfg.dispersion)
         inv_b = 1.0 / sigma_moving(lan.b, cfg.dispersion)

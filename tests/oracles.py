@@ -118,7 +118,7 @@ def lanczos_reference(ham, psi0, spec):
     """
     h = ham.matrix
     dim = ham.dim
-    v = np.asarray(psi0.amplitudes)
+    v = np.asarray(psi0)
     scale = spec.spectral_range
     if scale == 0.0:
         scale = 1.0
@@ -133,7 +133,6 @@ def lanczos_reference(ham, psi0, spec):
     a[0] = np.real(np.vdot(v, w))
     w = w - a[0] * v
     k = 1
-    halt_index = None
     passes = 0
     for n in range(1, dim):
         prev = basis[:, :n]
@@ -142,7 +141,6 @@ def lanczos_reference(ham, psi0, spec):
             passes += 1
         b_n = np.linalg.norm(w)
         if b_n < DEFAULT_B_TOL * scale:
-            halt_index = n
             break
         v = w / b_n
         basis[:, n] = v
@@ -160,9 +158,9 @@ def lanczos_reference(ham, psi0, spec):
         b=b[: k - 1],
         basis=basis,
         krylov_dim=k,
-        halt_index=halt_index,
         ortho_residual=ortho_resid,
         reorth_passes=passes,
+        spec=spec,
     )
 
 
@@ -228,7 +226,7 @@ def bincount_matvec(matrix):
 
 def energy_coefficients(state, spec):
     """Overlaps <e_i|psi> of a sector-basis state with each eigenstate."""
-    return spec.eigenvectors.T @ state.amplitudes
+    return spec.eigenvectors.T @ state
 
 
 def tridiagonal(lan):

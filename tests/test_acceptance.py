@@ -95,11 +95,11 @@ def time_average_runs():
         spec = eigendecompose(ham)
         psi = state_random(48, 400 + i)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        rep = saturation(spec, lan, psi)
+        rep = saturation(lan)
         horizon = 1e3 * 48 / spec.spectral_range
         dt = 0.2 / spec.spectral_range
         times = np.arange(0.0, horizon + dt / 2, dt)
-        curve = complexity_values(spec, lan, psi, times)
+        curve = complexity_values(lan, times)
         average = time_average_complexity(curve, horizon, fastest_phase=spec.spectral_range)
         runs.append((ham, spec, lan, psi, rep.c_bar, average))
     return runs
@@ -145,7 +145,7 @@ def ising_transition_records():
 def test_c01_exact_delocalized_saturation(uniform_runs):
     worst = 0.0
     for ham, spec, lan, psi in uniform_runs:
-        rep = saturation(spec, lan, psi)
+        rep = saturation(lan)
         target = (spec.dim - 1) / 2.0
         worst = max(worst, abs(rep.c_bar - target) / target)
     ok = worst <= 1e-8
@@ -157,8 +157,8 @@ def test_c02_eigenstate_suppression(eigenstate_runs):
     ok = True
     for ham, spec, lan, psi in eigenstate_runs:
         times = np.linspace(0.0, 50.0, 257)
-        curve = complexity_values(spec, lan, psi, times)
-        rep = saturation(spec, lan, psi)
+        curve = complexity_values(lan, times)
+        rep = saturation(lan)
         ok &= lan.krylov_dim == 1
         ok &= bool(np.all(curve.values == 0.0))
         ok &= rep.c_bar == 0.0
@@ -198,7 +198,7 @@ def test_c05_propagator_cross_check():
     psi = state_all_up(basis)
     lan = lanczos_full_orth(ham, psi, spec=spec)
     times, ode = tight_binding_propagate(lan, 10.0, 1e-3)
-    spectral = krylov_amplitudes(spec, lan, psi, times)
+    spectral = krylov_amplitudes(lan, times)
     worst = float(np.max(np.abs(ode - spectral)))
     ok = worst < 1e-6
     report(5, "propagator cross-check", ok, f"max entrywise dev {worst:.2e}")

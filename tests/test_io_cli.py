@@ -41,6 +41,8 @@ def _eigh_must_not_run(ham):
 # config files the rejection cases name, written to their working directory
 REJECTED_CONFIGS = {
     "odd-all-up.cfg": "model = ising\nsector = odd\nn_spins = 12\nfamilies = eig_ref@4,all_up\n",
+    "values-and-bounds.cfg": "model = ising\nn_spins = 6\nparam_values = 0.5,1\nparam_min = 0.1\n",
+    "negative-k.cfg": "model = banded\ndim = 64\nrealizations = 2\nparam_values = 0.5,-0.1\n",
 }
 
 
@@ -268,10 +270,23 @@ class TestCli:
         assert code == 0
         meta = (tmp_path / "ising_sweep.meta.txt").read_text()
         assert "seed = 2" in meta  # CLI flag wins over the file
+        grid = ["--hz-min", "0.1", "--hz-max", "2", "--hz-points", "3", "--out", str(tmp_path)]
+        assert main(["ising-sweep", "--config", str(cfgfile)] + grid) == 0
+        meta = (tmp_path / "ising_sweep.meta.txt").read_text()
+        assert "param_grid = 0.1,0.4472135955,2" in meta  # grid flags replace param_values
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main(["ising-sweep", "--hz-min", "0", "--hz-max", "2", "--hz-points", "3"]) == 1
+
+    def test_os_error_exit_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert main(["ising-sweep", "--config", missing, "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["single-run", "--model", "goe", "--dim", "16", "--out", str(taken)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, config, match",
@@ -556,6 +571,11 @@ class TestCli:
                 "the all_up family needs sector = even",
             ),
             (
+                ["ising-sweep", "--config", "values-and-bounds.cfg"],
+                "param_values cannot be combined with param_min",
+            ),
+            (["banded-sweep", "--config", "negative-k.cfg"], "k must be >= 0 on the grid, got -0.1"),
+            (
                 ["ising-sweep", "--n-spins", "1", "--hz-min", "1", "--hz-max", "2"]
                 + ["--hz-points", "2", "--families", "uniform"],
                 "the even sector of N=1 has 2 levels; eta needs at least 3",
@@ -600,6 +620,8 @@ class TestCli:
             "deltas-nan",
             "scaling-delta-nan",
             "all-up-odd-sector-config",
+            "values-and-bounds-config",
+            "negative-k-config",
             "n-spins-1",
             "n-eta-1",
             "banded-dim-2",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from kchaos import (
     ComplexityCurve,
     DegenerateSpectrumError,
     NumericalError,
-    StateVector,
     UniformComplement,
     build_goe,
     build_ising_sector,
@@ -39,7 +40,7 @@ from oracles import (
 def two_level():
     ham = hamiltonian_from_matrix(np.diag([0.0, 1.0]))
     spec = eigendecompose(ham)
-    psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
+    psi = np.array([1.0, 1.0]) / np.sqrt(2)
     return ham, spec, psi
 
 
@@ -56,11 +57,11 @@ class TestLanczos:
     def test_eigenstate_halts_immediately(self):
         ham = hamiltonian_from_matrix(np.diag([0.0, 1.0]))
         spec = eigendecompose(ham)
-        psi = StateVector(np.array([1.0, 0.0]))
+        psi = np.array([1.0, 0.0])
         lan = lanczos_full_orth(ham, psi, spec=spec)
         assert lan.krylov_dim == 1
         assert lan.a.shape == (1,) and lan.b.shape == (0,)
-        assert lan.halted_early and lan.halt_index == 1
+        assert lan.halted_early
 
     def test_structure_on_random_matrices(self):
         for seed in (0, 1, 2):
@@ -78,7 +79,7 @@ class TestLanczos:
         spec = eigendecompose(ham)
         coeffs = np.zeros(24)
         coeffs[:4] = np.random.default_rng(8).standard_normal(4)
-        psi = StateVector(spec.eigenvectors @ (coeffs / np.linalg.norm(coeffs)))
+        psi = spec.eigenvectors @ (coeffs / np.linalg.norm(coeffs))
         lan = lanczos_full_orth(ham, psi, spec=spec)
         assert lan.krylov_dim == 4 and lan.halted_early
         assert_lanczos_structure(ham, spec, lan, expect_full=False)
@@ -86,7 +87,15 @@ class TestLanczos:
     def test_rejects_unnormalized(self):
         ham, spec, _ = two_level()
         with pytest.raises(ValueError, match="normalized"):
-            lanczos_full_orth(ham, StateVector(np.array([1.0, 1.0])), spec=spec)
+            lanczos_full_orth(ham, np.array([1.0, 1.0]), spec=spec)
+
+    def test_rejects_mismatched_dimensions(self):
+        ham, spec, psi = two_level()
+        with pytest.raises(ValueError, match="match matrix dimension"):
+            lanczos_full_orth(ham, np.array([1.0, 0.0, 0.0]), spec=spec)
+        other = eigendecompose(hamiltonian_from_matrix(np.diag([0.0, 1.0, 2.0])))
+        with pytest.raises(ValueError, match="match matrix dimension"):
+            lanczos_full_orth(ham, psi, spec=other)
 
     def test_degeneracy_gate(self):
         ham = hamiltonian_from_matrix(np.diag([1.0, 1.0, 2.0]))
@@ -113,7 +122,7 @@ class TestLanczos:
         spec = eigendecompose(ham)
         rng = np.random.default_rng(10)
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi = StateVector(v / np.linalg.norm(v))
+        psi = v / np.linalg.norm(v)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         assert lan.krylov_dim == 16
         assert_lanczos_structure(ham, spec, lan)
@@ -140,7 +149,7 @@ def _banded_case(k, seed_kind):
 def _complex_seed(dim):
     rng = np.random.default_rng(10)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def _complex_goe_case():
@@ -157,7 +166,7 @@ def _halted_case():
     coeffs = np.zeros(24)
     coeffs[:4] = np.random.default_rng(8).standard_normal(4)
     vecs = eigendecompose(ham).eigenvectors
-    return ham, StateVector(vecs @ (coeffs / np.linalg.norm(coeffs)))
+    return ham, vecs @ (coeffs / np.linalg.norm(coeffs))
 
 
 def _perturbed_case(dim=64, delta=1e-3):
@@ -211,11 +220,12 @@ def _match_reference(build, layout):
     ref = lanczos_reference(ham, psi, spec)
     tol = 1e-8 * spec.spectral_range
     assert lan.krylov_dim == ref.krylov_dim
-    assert lan.halt_index == ref.halt_index
+    assert lan.halted_early == ref.halted_early
+    assert np.array_equal(lan.basis[:, 0], psi)
     assert np.max(np.abs(lan.a - ref.a)) <= tol
     assert np.max(np.abs(lan.b - ref.b), initial=0.0) <= tol
-    c_bar = saturation(spec, lan, psi).c_bar
-    c_ref = saturation(spec, ref, psi).c_bar
+    c_bar = saturation(lan).c_bar
+    c_ref = saturation(ref).c_bar
     assert abs(c_bar - c_ref) <= 1e-10 * abs(c_ref)
     assert lan.ortho_residual <= 1e-13
     return ham, lan
@@ -258,14 +268,14 @@ class TestAmplitudes:
     def test_localized_at_time_zero(self):
         ham, spec, psi = two_level()
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        amps = krylov_amplitudes(spec, lan, psi, np.array([0.0]))
+        amps = krylov_amplitudes(lan, np.array([0.0]))
         assert np.allclose(amps[:, 0], [1.0, 0.0], atol=1e-14)
 
     def test_two_level_closed_form(self):
         ham, spec, psi = two_level()
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 12.0, 97)
-        amps = krylov_amplitudes(spec, lan, psi, ts)
+        amps = krylov_amplitudes(lan, ts)
         assert np.allclose(amps[0], (1 + np.exp(-1j * ts)) / 2, atol=1e-14)
         assert np.allclose(amps[1], (-1 + np.exp(-1j * ts)) / 2, atol=1e-14)
 
@@ -276,16 +286,10 @@ class TestAmplitudes:
         psi = state_all_up(basis)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.random.default_rng(3).uniform(0.0, 50.0, 100)
-        amps = krylov_amplitudes(spec, lan, psi, ts)
+        amps = krylov_amplitudes(lan, ts)
         norms = np.sum(np.abs(amps) ** 2, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
-    def test_wrong_seed_rejected(self):
-        ham, spec, psi = two_level()
-        lan = lanczos_full_orth(ham, psi, spec=spec)
-        other = StateVector(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="seed"):
-            krylov_amplitudes(spec, lan, other, np.array([0.0]))
 
 
 class TestTightBinding:
@@ -318,7 +322,7 @@ class TestTightBinding:
         lan = lanczos_full_orth(ham, psi, spec=spec)
         dt = min(1e-3, 0.05 / spec.spectral_range)
         times, ode = tight_binding_propagate(lan, 5.0, dt)
-        spectral = krylov_amplitudes(spec, lan, psi, times)
+        spectral = krylov_amplitudes(lan, times)
         assert np.max(np.abs(ode - spectral)) < 1e-6
 
 
@@ -327,9 +331,9 @@ class TestComplexity:
         ham, spec, psi = two_level()
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 2 * np.pi, 65)
-        curve = complexity_curve(krylov_amplitudes(spec, lan, psi, ts), ts)
+        curve = complexity_curve(krylov_amplitudes(lan, ts), ts)
         assert np.allclose(curve.values, (1 - np.cos(ts)) / 2, atol=1e-14)
-        at_pi = complexity_curve(krylov_amplitudes(spec, lan, psi, np.array([np.pi])), [np.pi])
+        at_pi = complexity_curve(krylov_amplitudes(lan, np.array([np.pi])), [np.pi])
         assert at_pi.values[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_at_time_zero_and_bounded(self):
@@ -338,7 +342,7 @@ class TestComplexity:
         psi = state_random(20, 5)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 30.0, 300)
-        curve = complexity_curve(krylov_amplitudes(spec, lan, psi, ts), ts)
+        curve = complexity_curve(krylov_amplitudes(lan, ts), ts)
         assert curve.values[0] == pytest.approx(0.0, abs=1e-20)
         assert np.all(curve.values <= lan.krylov_dim - 1)
         assert np.all(curve.values >= 0)
@@ -349,9 +353,9 @@ class TestComplexity:
         psi = state_random(20, 5)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 30.0, 1001)
-        direct = complexity_curve(krylov_amplitudes(spec, lan, psi, ts), ts)
+        direct = complexity_curve(krylov_amplitudes(lan, ts), ts)
         monkeypatch.setattr("kchaos.krylov.CHUNK_TIMES", 100)
-        chunked = complexity_values(spec, lan, psi, ts)
+        chunked = complexity_values(lan, ts)
         # chunk width changes BLAS summation order, so exact equality is not
         # guaranteed, only agreement at rounding level
         assert np.allclose(direct.values, chunked.values, rtol=0, atol=1e-12)
@@ -362,7 +366,7 @@ class TestSaturation:
         ham, spec = goe32
         psi = state_eigenstate(spec, 11)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        rep = saturation(spec, lan, psi)
+        rep = saturation(lan)
         assert rep.c_bar == 0.0
         assert rep.q0n[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -370,7 +374,7 @@ class TestSaturation:
         ham, spec = goe32
         psi = state_uniform_eigenbasis(spec)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        rep = saturation(spec, lan, psi)
+        rep = saturation(lan)
         assert rep.c_bar == pytest.approx(15.5, rel=1e-12)
         assert rep.c_bar_normalized == pytest.approx(1.0, rel=1e-12)
 
@@ -381,11 +385,11 @@ class TestSaturation:
             spec = eigendecompose(ham)
             psi = state_random(3, 70 + seed)
             lan = lanczos_full_orth(ham, psi, spec=spec)
-            rep = saturation(spec, lan, psi)
+            rep = saturation(lan)
             mean_spacing = spec.spectral_range / (spec.dim - 1)
             horizon = 1e4 / mean_spacing
             ts = np.arange(0.0, horizon, 0.2 / spec.spectral_range)
-            curve = complexity_values(spec, lan, psi, ts)
+            curve = complexity_values(lan, ts)
             avg = time_average_complexity(curve, horizon)
             assert abs(avg - rep.c_bar) / rep.c_bar < 0.01
 
@@ -393,7 +397,7 @@ class TestSaturation:
         ham, spec = goe32
         psi = state_random(32, 8)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        rep = saturation(spec, lan, psi)
+        rep = saturation(lan)
         assert np.sum(rep.q0n) == pytest.approx(1.0, abs=1e-10)
         assert np.all(rep.q0n >= 0)
         overlaps = lan.basis.T @ spec.eigenvectors
@@ -404,7 +408,7 @@ class TestSaturation:
         ham, spec = goe32
         psi = state_random(32, 9)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        base = saturation(spec, lan, psi).c_bar
+        base = saturation(lan).c_bar
         signs = np.random.default_rng(5).choice([-1.0, 1.0], size=32)
         flipped = type(spec)(
             eigenvalues=spec.eigenvalues,
@@ -413,10 +417,10 @@ class TestSaturation:
             near_degenerate=spec.near_degenerate,
             degeneracy_tol=spec.degeneracy_tol,
         )
-        assert saturation(flipped, lan, psi).c_bar == pytest.approx(base, rel=1e-12)
-        rephased = StateVector(psi.amplitudes * np.exp(1j * 0.73))
+        assert saturation(replace(lan, spec=flipped)).c_bar == pytest.approx(base, rel=1e-12)
+        rephased = psi * np.exp(1j * 0.73)
         lan2 = lanczos_full_orth(ham, rephased, spec=spec)
-        assert saturation(spec, lan2, rephased).c_bar == pytest.approx(base, rel=1e-10)
+        assert saturation(lan2).c_bar == pytest.approx(base, rel=1e-10)
 
     def test_degenerate_gate(self):
         ham = hamiltonian_from_matrix(np.diag([1.0, 1.0, 2.0]))
@@ -424,7 +428,7 @@ class TestSaturation:
         psi = state_random(3, 0)
         lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=True)
         with pytest.raises(DegenerateSpectrumError):
-            saturation(spec, lan, psi)
+            saturation(lan)
 
 
 class TestTimeAverage:
@@ -444,10 +448,10 @@ class TestTimeAverage:
         spec = eigendecompose(ham)
         psi = state_all_up(basis)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        rep = saturation(spec, lan, psi)
+        rep = saturation(lan)
         horizon = 1e3 * spec.dim / spec.spectral_range
         ts = np.arange(0.0, horizon, 0.2 / spec.spectral_range)
-        curve = complexity_values(spec, lan, psi, ts)
+        curve = complexity_values(lan, ts)
         avg = time_average_complexity(curve, horizon, fastest_phase=spec.spectral_range)
         assert abs(avg - rep.c_bar) / rep.c_bar < 0.01
 

@@ -102,7 +102,7 @@ class TestOverlapScaling:
         delta = 0.02
         psi = state_perturbed(spec, j, UniformComplement(), delta)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        q0n = saturation(spec, lan, psi).q0n
+        q0n = saturation(lan).q0n
         predicted = report.f_intercepts + 1.0 / (dim - 1)
         relative = np.abs(q0n[1:] / delta**2 - predicted) / predicted
         assert np.max(relative) <= 0.10
