@@ -59,14 +59,10 @@ from .states import (
     state_uniform_eigenbasis,
 )
 from .sweeps import (
-    AllUpFamily,
-    BorderFamily,
-    EigenstatesFamily,
+    Family,
     FamilyStats,
-    RandomFamily,
     SweepConfig,
     SweepRecord,
-    UniformFamily,
     derive_seed,
     run_banded_sweep,
     run_ising_sweep,

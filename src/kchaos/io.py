@@ -231,9 +231,13 @@ def read_config_pairs(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _param_grid(param_values=None, param_scale: str = "log", **bounds) -> np.ndarray | None:
+def _param_grid(param_values=None, **bounds) -> np.ndarray | None:
     """The sweep grid from explicit values or from min/max/points and a scale;
-    None when no grid key is given."""
+    None when no grid key is given.  A scale is one of the bounds: it needs
+    the other three and cannot come with ``param_values``."""
+    scale = bounds.get("param_scale", "log")
+    if scale not in ("log", "linear"):
+        raise ConfigError(f"param_scale must be 'log' or 'linear', got {scale!r}")
     if param_values is not None:
         if bounds:
             raise ConfigError(f"param_values cannot be combined with {', '.join(sorted(bounds))}")
@@ -244,13 +248,11 @@ def _param_grid(param_values=None, param_scale: str = "log", **bounds) -> np.nda
     if missing:
         raise ConfigError(f"incomplete grid settings; missing: {', '.join(missing)}")
     lo, hi, n = bounds["param_min"], bounds["param_max"], bounds["param_points"]
-    if param_scale == "log":
-        if lo <= 0:
-            raise ConfigError("log grids need param_min > 0")
-        return np.geomspace(lo, hi, n)
-    if param_scale == "linear":
+    if scale == "linear":
         return np.linspace(lo, hi, n)
-    raise ConfigError(f"param_scale must be 'log' or 'linear', got {param_scale!r}")
+    if lo <= 0:
+        raise ConfigError("log grids need param_min > 0")
+    return np.geomspace(lo, hi, n)
 
 
 def build_sweep_config(pairs: dict[str, str]) -> SweepConfig:
@@ -291,7 +293,7 @@ def _group_lines(group: str, cfg: SweepConfig) -> list[str]:
         return [f"param_grid = {','.join(_fmt(p) for p in cfg.param_grid)}"]
     return [
         f"families = {','.join(f.label for f in cfg.families)}",
-        f"family_counts = {','.join(str(getattr(f, 'count', 1)) for f in cfg.families)}",
+        f"family_counts = {','.join(str(f.count) for f in cfg.families)}",
     ]
 
 

@@ -19,7 +19,8 @@ from .errors import DegenerateSpectrumError, OrthogonalityLossError
 from .hamiltonians import Hamiltonian, SpectralData
 
 DEFAULT_B_TOL = 1e-12
-DEFAULT_ORTHO_TOL = 1e-10
+# largest deviation of the Krylov basis Gram matrix from the identity a run accepts
+ORTHO_TOL = 1e-10
 # a Gram-Schmidt pass is repeated when it leaves less than this share of the norm
 DGKS_RATIO = 1.0 / np.sqrt(2.0)
 # from this dimension on, a Gram-Schmidt pass runs only where the omega
@@ -94,7 +95,6 @@ def lanczos_full_orth(
     psi0: np.ndarray,
     spec: SpectralData,
     allow_degenerate: bool = False,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
 ) -> LanczosResult:
     """Three-term recursion with reorthogonalization against the whole basis.
 
@@ -108,7 +108,7 @@ def lanczos_full_orth(
     every step and the neighbour overlap set to eps*sqrt(D)*||H||/b_n.  A
     pass runs only when some estimate exceeds ``OMEGA_TOL``, and then again
     at the next step; both rows of the estimate restart at eps.  Either way
-    the final Gram check against ``ortho_tol`` holds the basis to the same
+    the final Gram check against ``ORTHO_TOL`` holds the basis to the same
     standard.  The recursion halts at the first off-diagonal coefficient
     below ``DEFAULT_B_TOL`` times the spectral range of ``spec`` (times 1
     when the range is 0).
@@ -124,8 +124,6 @@ def lanczos_full_orth(
         the estimate and the degeneracy gate.
     allow_degenerate : bool
         Run even when ``spec`` is flagged near-degenerate.
-    ortho_tol : float
-        Maximum allowed deviation of the Gram matrix from the identity.
 
     Returns
     -------
@@ -214,9 +212,9 @@ def lanczos_full_orth(
     gram = q[:k].conj() @ basis
     gram.flat[:: k + 1] -= 1.0
     ortho_resid = float(np.max(np.abs(gram, out=gram).real))
-    if ortho_resid > ortho_tol:
+    if ortho_resid > ORTHO_TOL:
         raise OrthogonalityLossError(
-            f"Krylov basis orthogonality residual {ortho_resid:.3e} exceeds {ortho_tol:.1e}"
+            f"Krylov basis orthogonality residual {ortho_resid:.3e} exceeds {ORTHO_TOL:.1e}"
         )
     basis.setflags(write=False)
     return LanczosResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian, SpectralData, eigendecompose
+from .hamiltonians import Hamiltonian, eigendecompose
 from .krylov import lanczos_full_orth, saturation
 from .states import GaussianProfile, UniformComplement, state_perturbed
 
@@ -78,7 +78,6 @@ def run_bound_sweep(
     j: int,
     profile: GaussianProfile | UniformComplement,
     deltas: np.ndarray,
-    spec: SpectralData | None = None,
     allow_degenerate: bool = False,
 ) -> BoundSweep:
     """Measure the saturation of perturbed eigenstates along a delta grid.
@@ -94,8 +93,7 @@ def run_bound_sweep(
     if np.any(np.diff(deltas) <= 0) or deltas[0] < 0:
         raise ValueError("deltas must be strictly increasing and >= 0")
     _check_anchor(j, ham.dim)
-    if spec is None:
-        spec = eigendecompose(ham)
+    spec = eigendecompose(ham)
     c_bar = np.empty(deltas.shape[0])
     bound = np.empty(deltas.shape[0])
     for i, delta in enumerate(deltas):
@@ -122,7 +120,6 @@ def overlap_scaling_check(
     j: int,
     profile: GaussianProfile | UniformComplement,
     delta_grid: np.ndarray,
-    spec: SpectralData | None = None,
 ) -> ScalingReport:
     """Fit the small-delta scaling of |<K_n|e_j>|^2 for every n >= 1.
 
@@ -138,8 +135,7 @@ def overlap_scaling_check(
     if not np.all((delta_grid > 0) & (delta_grid <= 0.05)):  # rejects nan too
         raise ValueError("delta grid must lie in (0, 0.05]")
     _check_anchor(j, ham.dim)
-    if spec is None:
-        spec = eigendecompose(ham)
+    spec = eigendecompose(ham)
     e_j = spec.eigenvectors[:, j]
     overlaps = np.full((delta_grid.shape[0], ham.dim), np.nan)
     k_min = ham.dim

@@ -60,62 +60,45 @@ def _fmt_param(p: float) -> str:
 
 
 @dataclass(frozen=True)
-class AllUpFamily:
-    """Single member: the all-spins-up state (spin chain, even sector)."""
+class Family:
+    """A family of initial states, averaged at every grid point.
 
-    @property
-    def label(self) -> str:
-        return "all_up"
-
-
-@dataclass(frozen=True)
-class UniformFamily:
-    """Uniformly spread over the current grid point's own eigenbasis, rebuilt
-    at every point, which makes its saturation exactly (D-1)/2."""
-
-    @property
-    def label(self) -> str:
-        return "uniform"
-
-
-@dataclass(frozen=True)
-class RandomFamily:
-    """Average over ``count`` random initial states.
-
-    The members come from :func:`state_random`: real Gaussian amplitudes with
-    Porter-Thomas eigenbasis weights, so the family's normalized saturation
-    sits below 1 even in the GOE limit.
+    ``all_up`` is the all-spins-up state (spin chain, even sector).
+    ``uniform`` is spread uniformly over the current grid point's own
+    eigenbasis, rebuilt at every point, which makes its saturation exactly
+    (D-1)/2.  ``border`` is the lowest eigenstate of the uncoupled (k=0)
+    reference (banded model).  These three have one state per realization
+    and count 1.  ``random`` averages over ``count`` states from
+    :func:`state_random`: real Gaussian amplitudes with Porter-Thomas
+    eigenbasis weights, so the family's normalized saturation sits below 1
+    even in the GOE limit.  ``eig_ref`` averages over ``count`` eigenstates
+    of the reference Hamiltonian at ``ref_param`` near the spectrum center.
     """
 
-    count: int = 10
+    kind: str
+    count: int = 1
+    ref_param: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("all_up", "uniform", "random", "border", "eig_ref"):
+            raise ConfigError(
+                f"unknown family {self.kind!r}; valid: all_up, uniform, random, border, eig_ref@<p>"
+            )
+        if self.count < 1:
+            raise ConfigError(f"the {self.label} family needs count >= 1, got {self.count}")
+        if self.kind not in ("random", "eig_ref") and self.count != 1:
+            raise ConfigError(f"the {self.label} family needs count = 1, got {self.count}")
+        if self.kind != "eig_ref" and self.ref_param != 0.0:
+            raise ConfigError(f"the {self.label} family takes no ref_param, got {self.ref_param:g}")
+        if not np.isfinite(self.ref_param):
+            raise ConfigError(
+                f"the {self.label} family needs a finite reference parameter, "
+                f"got {self.ref_param:g}"
+            )
 
     @property
     def label(self) -> str:
-        return "random"
-
-
-@dataclass(frozen=True)
-class EigenstatesFamily:
-    """Average over eigenstates of a reference Hamiltonian near the spectrum center."""
-
-    ref_param: float
-    count: int = 40
-
-    @property
-    def label(self) -> str:
-        return f"eig{_fmt_param(self.ref_param)}"
-
-
-@dataclass(frozen=True)
-class BorderFamily:
-    """Lowest eigenstate of the uncoupled (k=0) reference (banded model)."""
-
-    @property
-    def label(self) -> str:
-        return "border"
-
-
-Family = AllUpFamily | UniformFamily | RandomFamily | EigenstatesFamily | BorderFamily
+        return f"eig{_fmt_param(self.ref_param)}" if self.kind == "eig_ref" else self.kind
 
 
 @dataclass(frozen=True)
@@ -158,21 +141,14 @@ class SweepConfig:
         # a family some model owns runs on that model only
         owners = {entry.own_family: name for name, entry in MODELS.items()}
         for fam in families:
-            owner = owners.get(type(fam), self.model)
+            owner = owners.get(fam.kind, self.model)
             if owner != self.model:
                 raise ConfigError(f"the {fam.label} family applies to the {owner} model only")
-            if getattr(fam, "count", 1) < 1:
-                raise ConfigError(f"the {fam.label} family needs count >= 1, got {fam.count}")
-            if isinstance(fam, EigenstatesFamily) and not np.isfinite(fam.ref_param):
-                raise ConfigError(
-                    f"the {fam.label} family needs a finite reference parameter, "
-                    f"got {fam.ref_param:g}"
-                )
         if self.n_eta is None:
             object.__setattr__(self, "n_eta", self.n_spins)
         dim = model.check(self)
         for fam in families:
-            if isinstance(fam, EigenstatesFamily) and fam.count > dim:
+            if fam.kind == "eig_ref" and fam.count > dim:
                 raise ConfigError(
                     f"the {fam.label} family needs {fam.count} eigenstates but the spectrum "
                     f"has dimension {dim}; set --eigen-count (eigen_count) to at most {dim}"
@@ -186,7 +162,7 @@ class SweepConfig:
 def parse_families(
     model: str,
     families: str = "",
-    random_count: int = RandomFamily.count,
+    random_count: int = 10,
     eigen_count: int | None = None,
 ) -> tuple[Family, ...]:
     """State families from a comma list; an empty list gives the model's
@@ -196,21 +172,14 @@ def parse_families(
         eigen_count = defaults.eigen_count
     fams: list[Family] = []
     for token in filter(None, (t.strip() for t in (families or defaults.families).split(","))):
-        name, at, ref = token.partition("@")
-        if token == "all_up":
-            fams.append(AllUpFamily())
-        elif token == "uniform":
-            fams.append(UniformFamily())
-        elif token == "random":
-            fams.append(RandomFamily(count=random_count))
-        elif token == "border":
-            fams.append(BorderFamily())
-        elif name == "eig_ref" and at:
-            fams.append(EigenstatesFamily(ref_param=float(ref), count=eigen_count))
-        else:
+        kind, at, ref = token.partition("@")
+        # eig_ref takes its reference parameter after "@"; no other kind takes one
+        if (kind == "eig_ref") != bool(at):
             raise ConfigError(
                 f"unknown family {token!r}; valid: all_up, uniform, random, border, eig_ref@<p>"
             )
+        count = {"random": random_count, "eig_ref": eigen_count}.get(kind, 1)
+        fams.append(Family(kind, count, float(ref) if at else 0.0))
     return tuple(fams)
 
 
@@ -268,7 +237,7 @@ def _check_ising(cfg: SweepConfig) -> int:
     dim = _check_levels(
         sector_dim(cfg.n_spins, cfg.sector), f"the {cfg.sector} sector of N={cfg.n_spins}"
     )
-    if cfg.sector != "even" and any(isinstance(f, AllUpFamily) for f in cfg.families):
+    if cfg.sector != "even" and any(f.kind == "all_up" for f in cfg.families):
         raise ConfigError(
             "the all_up family needs sector = even, where the palindromic all-up state lives"
         )
@@ -277,9 +246,8 @@ def _check_ising(cfg: SweepConfig) -> int:
 
 def _check_banded(cfg: SweepConfig) -> int:
     """The banded fields of ``cfg``; returns the dimension of the sweep spectrum."""
-    for fam in cfg.families:
-        if isinstance(fam, EigenstatesFamily) and fam.ref_param:
-            raise ConfigError("banded eigenstate families reference the k=0 spectrum")
+    if any(fam.ref_param for fam in cfg.families):
+        raise ConfigError("banded eigenstate families reference the k=0 spectrum")
     if np.any(cfg.param_grid < 0):
         raise ConfigError(f"k must be >= 0 on the grid, got {cfg.param_grid.min():g}")
     _check_bandwidth_frac(cfg.bandwidth_frac)
@@ -298,7 +266,7 @@ class _Model:
     """A sweep model as ``sweeps``, ``io`` and ``cli`` read it; one entry of MODELS.
 
     ``check`` validates the model's own SweepConfig fields and returns the
-    dimension of the sweep spectrum.  ``own_family`` is the family class only
+    dimension of the sweep spectrum.  ``own_family`` is the family kind only
     this model runs, if any.  ``eta_levels`` gives the levels of the eta curve
     at one grid point; where it is None, or returns None, eta comes from the
     sweep spectra.
@@ -312,7 +280,7 @@ class _Model:
     eigen_count: int
     hamiltonians: Callable[[SweepConfig, float], list[Hamiltonian]]
     check: Callable[[SweepConfig], int]
-    own_family: type | None
+    own_family: str | None
     eta_levels: Callable[[SweepConfig, float], list[np.ndarray] | None] | None
 
 
@@ -323,7 +291,7 @@ MODELS = {
         "h_z", "hz", "spin-chain h_z sweep", np.geomspace(0.05, 4.0, 30),
         "all_up,eig_ref@4,eig_ref@0,random,uniform", 40,
         lambda cfg, h_z: [build_ising_sector(cfg.n_spins, h_z, cfg.sector)],
-        _check_ising, AllUpFamily, _ising_eta_levels,
+        _check_ising, "all_up", _ising_eta_levels,
     ),
     "banded": _Model(
         "k", "k", "banded-model k sweep", np.geomspace(5e-4, 2.0, 20),
@@ -333,7 +301,7 @@ MODELS = {
             banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, derive_seed(cfg.seed, "matrix", r))
             for r in range(cfg.realizations)
         ],
-        _check_banded, BorderFamily, None,
+        _check_banded, "border", None,
     ),
 }
 
@@ -358,17 +326,17 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, np.ndarray]] |
     reference = lru_cache(maxsize=1)(lambda p: [eigendecompose(h) for h in hamiltonians(cfg, p)])
     members = {}
     for fam in cfg.families:
-        if isinstance(fam, AllUpFamily):
+        if fam.kind == "all_up":
             pairs = [(0, state_all_up(parity_basis(cfg.n_spins, cfg.sector)))]
-        elif isinstance(fam, RandomFamily):
+        elif fam.kind == "random":
             dim = model.check(cfg)
             pairs = [
                 (0, state_random(dim, derive_seed(cfg.seed, "random-state", i)))
                 for i in range(fam.count)
             ]
-        elif isinstance(fam, BorderFamily):
+        elif fam.kind == "border":
             pairs = [(r, state_eigenstate(spec, 0)) for r, spec in enumerate(reference(0.0))]
-        elif isinstance(fam, EigenstatesFamily):
+        elif fam.kind == "eig_ref":
             spec = reference(fam.ref_param)[0]
             pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
         else:

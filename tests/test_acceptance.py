@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 
 from kchaos import (
-    AllUpFamily,
-    EigenstatesFamily,
+    Family,
     GaussianProfile,
-    RandomFamily,
     SweepConfig,
     UniformComplement,
-    UniformFamily,
     build_banded_random,
     build_goe,
     build_ising_sector,
@@ -136,7 +133,7 @@ def ising_transition_records():
         n_spins=10,
         n_eta=10,
         param_grid=HZ_GRID,
-        families=(AllUpFamily(), UniformFamily()),
+        families=(Family("all_up"), Family("uniform")),
         seed=20,
     )
     return run_ising_sweep(cfg)
@@ -265,9 +262,9 @@ def test_c08_banded_transition_shape():
         realizations=5,
         param_grid=np.geomspace(5e-4, 1.0, 10),
         families=(
-            EigenstatesFamily(ref_param=0.0, count=20),
-            RandomFamily(count=10),
-            UniformFamily(),
+            Family("eig_ref", count=20, ref_param=0.0),
+            Family("random", count=10),
+            Family("uniform"),
         ),
         seed=30,
     )
@@ -324,9 +321,8 @@ def test_c09_saturation_bound(tmp_path):
     ok = True
     worst = 0.0
     for ham, tag in configurations:
-        spec = eigendecompose(ham)
         for j, profile, ptag in profiles:
-            sweep = run_bound_sweep(ham, j, profile, deltas, spec=spec)
+            sweep = run_bound_sweep(ham, j, profile, deltas)
             ok &= bool(np.all(sweep.c_bar <= sweep.bound))
             worst = max(worst, float(np.max(sweep.c_bar / sweep.bound)))
     report(9, "perturbative saturation bound", ok, f"max c_bar/bound {worst:.3f}")

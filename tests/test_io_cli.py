@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kchaos.sweeps
-from kchaos import AllUpFamily, ConfigError, SweepConfig, UniformFamily, run_ising_sweep
+from kchaos import ConfigError, Family, SweepConfig, run_ising_sweep
 from kchaos.cli import _build_parser, main
 from kchaos.io import (
     CONFIG_KEYS,
@@ -25,7 +25,7 @@ def tiny_records():
         model="ising",
         n_spins=6,
         param_grid=np.array([0.5, 1.0, 2.0]),
-        families=(AllUpFamily(), UniformFamily()),
+        families=(Family("all_up"), Family("uniform")),
         seed=1,
     )
     return run_ising_sweep(cfg)
@@ -43,6 +43,10 @@ REJECTED_CONFIGS = {
     "odd-all-up.cfg": "model = ising\nsector = odd\nn_spins = 12\nfamilies = eig_ref@4,all_up\n",
     "values-and-bounds.cfg": "model = ising\nn_spins = 6\nparam_values = 0.5,1\nparam_min = 0.1\n",
     "negative-k.cfg": "model = banded\ndim = 64\nrealizations = 2\nparam_values = 0.5,-0.1\n",
+    "bogus-scale-values.cfg": "model = ising\nparam_values = 0.5,1\nparam_scale = bogus\n",
+    "bogus-scale.cfg": "model = ising\nparam_scale = bogus\n",
+    "scale-values.cfg": "model = ising\nparam_values = 0.5,1\nparam_scale = linear\n",
+    "scale.cfg": "model = ising\nparam_scale = linear\n",
 }
 
 
@@ -218,9 +222,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="param_max, param_points"):
             parse_config(path)
 
-    def test_bad_family_token(self, tmp_path):
+    @pytest.mark.parametrize("token", ["warp", "eig_ref", "all_up@2", "random@3"])
+    def test_bad_family_token(self, token, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("model = ising\nfamilies = all_up, warp\n")
+        path.write_text(f"model = ising\nfamilies = all_up, {token}\n")
         with pytest.raises(ConfigError, match="unknown family"):
             parse_config(path)
 
@@ -576,6 +581,22 @@ class TestCli:
             ),
             (["banded-sweep", "--config", "negative-k.cfg"], "k must be >= 0 on the grid, got -0.1"),
             (
+                ["ising-sweep", "--config", "bogus-scale-values.cfg"],
+                "param_scale must be 'log' or 'linear', got 'bogus'",
+            ),
+            (
+                ["ising-sweep", "--config", "bogus-scale.cfg"],
+                "param_scale must be 'log' or 'linear', got 'bogus'",
+            ),
+            (
+                ["ising-sweep", "--config", "scale-values.cfg"],
+                "param_values cannot be combined with param_scale",
+            ),
+            (
+                ["ising-sweep", "--config", "scale.cfg"],
+                "incomplete grid settings; missing: param_max, param_min, param_points",
+            ),
+            (
                 ["ising-sweep", "--n-spins", "1", "--hz-min", "1", "--hz-max", "2"]
                 + ["--hz-points", "2", "--families", "uniform"],
                 "the even sector of N=1 has 2 levels; eta needs at least 3",
@@ -622,6 +643,10 @@ class TestCli:
             "all-up-odd-sector-config",
             "values-and-bounds-config",
             "negative-k-config",
+            "bogus-scale-with-values-config",
+            "bogus-scale-config",
+            "scale-with-values-config",
+            "scale-without-bounds-config",
             "n-spins-1",
             "n-eta-1",
             "banded-dim-2",

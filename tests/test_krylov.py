@@ -106,16 +106,17 @@ class TestLanczos:
         lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=True)
         assert lan.krylov_dim == 2  # two distinct eigenvalues reachable
 
-    def test_orthogonality_check_enforced(self):
+    def test_orthogonality_check_enforced(self, monkeypatch):
         # any finite-precision run carries ~1e-15 Gram residual, so an
         # absurdly tight tolerance must trip the post-run check
         from kchaos import OrthogonalityLossError
 
+        monkeypatch.setattr("kchaos.krylov.ORTHO_TOL", 1e-17)
         ham = build_goe(32, 3)
         spec = eigendecompose(ham)
         psi = state_random(32, 2)
         with pytest.raises(OrthogonalityLossError):
-            lanczos_full_orth(ham, psi, spec=spec, ortho_tol=1e-17)
+            lanczos_full_orth(ham, psi, spec=spec)
 
     def test_complex_seed_supported(self):
         ham = build_goe(16, 9)

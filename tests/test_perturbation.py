@@ -38,16 +38,16 @@ class TestBoundRhs:
 
 class TestBoundSweep:
     def test_delta_zero_entry(self, goe32):
-        ham, spec = goe32
-        sweep = run_bound_sweep(ham, 16, UniformComplement(), np.array([0.0, 0.05]), spec=spec)
+        ham, _ = goe32
+        sweep = run_bound_sweep(ham, 16, UniformComplement(), np.array([0.0, 0.05]))
         assert sweep.c_bar[0] == 0.0
         assert sweep.bound[0] == 0.0
 
     def test_bound_holds_small_delta(self, goe32):
-        ham, spec = goe32
+        ham, _ = goe32
         deltas = np.array([0.01, 0.02, 0.05, 0.1])
         for profile in (UniformComplement(), GaussianProfile(24, 5.0)):
-            sweep = run_bound_sweep(ham, 16, profile, deltas, spec=spec)
+            sweep = run_bound_sweep(ham, 16, profile, deltas)
             assert np.all(sweep.c_bar <= sweep.bound)
             assert sweep.delta_ok_up_to == 0.1
 
@@ -55,24 +55,23 @@ class TestBoundSweep:
         # empirical behavior on this seeded instance; not a theorem, but a
         # regression guard for the uniform-complement profile
         ham = build_goe(64, 17)
-        spec = eigendecompose(ham)
         deltas = np.linspace(0.02, 0.3, 8)
-        sweep = run_bound_sweep(ham, 32, UniformComplement(), deltas, spec=spec)
+        sweep = run_bound_sweep(ham, 32, UniformComplement(), deltas)
         assert np.all(np.diff(sweep.c_bar) >= 0)
 
     def test_grid_validation(self, goe32):
-        ham, spec = goe32
+        ham, _ = goe32
         with pytest.raises(ValueError):
-            run_bound_sweep(ham, 3, UniformComplement(), np.array([0.2, 0.1]), spec=spec)
+            run_bound_sweep(ham, 3, UniformComplement(), np.array([0.2, 0.1]))
         with pytest.raises(ValueError):
-            run_bound_sweep(ham, 3, UniformComplement(), np.array([]), spec=spec)
+            run_bound_sweep(ham, 3, UniformComplement(), np.array([]))
 
 
 class TestOverlapScaling:
     def test_quadratic_exponents_and_sum_rule(self, goe32):
-        ham, spec = goe32
+        ham, _ = goe32
         report = overlap_scaling_check(
-            ham, 16, UniformComplement(), np.geomspace(0.005, 0.05, 6), spec=spec
+            ham, 16, UniformComplement(), np.geomspace(0.005, 0.05, 6)
         )
         assert abs(report.median_slope - 2.0) <= 0.1
         assert abs(report.f_sum - 1.0) <= 0.05
@@ -97,7 +96,7 @@ class TestOverlapScaling:
         spec = eigendecompose(ham)
         j = 24
         report = overlap_scaling_check(
-            ham, j, UniformComplement(), np.geomspace(0.005, 0.05, 6), spec=spec
+            ham, j, UniformComplement(), np.geomspace(0.005, 0.05, 6)
         )
         delta = 0.02
         psi = state_perturbed(spec, j, UniformComplement(), delta)
@@ -108,12 +107,12 @@ class TestOverlapScaling:
         assert np.max(relative) <= 0.10
 
     def test_grid_validation(self, goe32):
-        ham, spec = goe32
+        ham, _ = goe32
         with pytest.raises(ValueError):
-            overlap_scaling_check(ham, 3, UniformComplement(), np.array([0.01, 0.02]), spec=spec)
+            overlap_scaling_check(ham, 3, UniformComplement(), np.array([0.01, 0.02]))
         with pytest.raises(ValueError):
             overlap_scaling_check(
-                ham, 3, UniformComplement(), np.array([0.01, 0.02, 0.05, 0.2]), spec=spec
+                ham, 3, UniformComplement(), np.array([0.01, 0.02, 0.05, 0.2])
             )
 
 
@@ -128,8 +127,8 @@ def test_previous_krylov_basis_released(goe32, monkeypatch):
         return lan
 
     monkeypatch.setattr("kchaos.perturbation.lanczos_full_orth", run)
-    ham, spec = goe32
-    run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.02, 0.05]), spec=spec)
+    ham, _ = goe32
+    run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.02, 0.05]))
     alive.clear()
-    overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4), spec=spec)
+    overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4))
     assert len(alive) == 4

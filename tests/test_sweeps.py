@@ -6,13 +6,9 @@ import pytest
 
 import kchaos.sweeps
 from kchaos import (
-    AllUpFamily,
-    BorderFamily,
     ConfigError,
-    EigenstatesFamily,
-    RandomFamily,
+    Family,
     SweepConfig,
-    UniformFamily,
     build_banded_random,
     build_goe,
     derive_seed,
@@ -30,7 +26,7 @@ def small_ising_cfg(**overrides):
         model="ising",
         n_spins=6,
         param_grid=HZ_GRID,
-        families=(AllUpFamily(), UniformFamily()),
+        families=(Family("all_up"), Family("uniform")),
         seed=42,
     )
     kwargs.update(overrides)
@@ -44,10 +40,10 @@ def small_banded_cfg(**overrides):
         realizations=2,
         param_grid=np.geomspace(1e-3, 1.0, 3),
         families=(
-            BorderFamily(),
-            EigenstatesFamily(ref_param=0.0, count=6),
-            RandomFamily(count=4),
-            UniformFamily(),
+            Family("border"),
+            Family("eig_ref", count=6, ref_param=0.0),
+            Family("random", count=4),
+            Family("uniform"),
         ),
         seed=9,
     )
@@ -66,13 +62,13 @@ class TestConfigValidation:
 
     def test_family_model_compatibility(self):
         with pytest.raises(ConfigError, match="all_up"):
-            SweepConfig(model="banded", families=(AllUpFamily(),))
+            SweepConfig(model="banded", families=(Family("all_up"),))
         with pytest.raises(ConfigError, match="border"):
-            SweepConfig(model="ising", families=(BorderFamily(),))
+            SweepConfig(model="ising", families=(Family("border"),))
 
     def test_duplicate_labels(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            SweepConfig(model="ising", families=(AllUpFamily(), AllUpFamily()))
+            SweepConfig(model="ising", families=(Family("all_up"), Family("all_up")))
 
     def test_default_families_filled(self):
         cfg = SweepConfig(model="banded")
@@ -104,9 +100,9 @@ class TestModelTable:
                 assert np.isfinite([stats.c_bar_norm, stats.inv_sigma_a, stats.inv_sigma_b]).all()
             assert rec.families["uniform"].c_bar_norm == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(ConfigError, match="the all_up family applies to the ising model only"):
-            SweepConfig(model="goe", dim=48, families=(AllUpFamily(),))
+            SweepConfig(model="goe", dim=48, families=(Family("all_up"),))
         with pytest.raises(ConfigError, match="the border family applies to the banded model only"):
-            SweepConfig(model="goe", dim=48, families=(BorderFamily(),))
+            SweepConfig(model="goe", dim=48, families=(Family("border"),))
 
 
 class TestSeedDerivation:
@@ -158,7 +154,7 @@ class TestIsingSweep:
 
     def test_eigenstate_family_vanishes_at_reference(self):
         cfg = small_ising_cfg(
-            families=(EigenstatesFamily(ref_param=3.0, count=4),),
+            families=(Family("eig_ref", count=4, ref_param=3.0),),
             param_grid=np.array([1.0, 3.0]),
         )
         records = run_ising_sweep(cfg)
@@ -228,7 +224,7 @@ class TestBandedSweep:
 
     def test_nonzero_eigen_reference_rejected(self):
         with pytest.raises(ConfigError, match="k=0"):
-            small_banded_cfg(families=(EigenstatesFamily(ref_param=0.5, count=4),))
+            small_banded_cfg(families=(Family("eig_ref", count=4, ref_param=0.5),))
 
     def test_threads_do_not_change_results(self):
         serial = run_banded_sweep(small_banded_cfg())
@@ -276,7 +272,7 @@ class TestPostprocess:
 
     def test_partial_normalization_keeps_nan(self):
         cfg = small_ising_cfg(
-            families=(EigenstatesFamily(ref_param=3.0, count=4), AllUpFamily()),
+            families=(Family("eig_ref", count=4, ref_param=3.0), Family("all_up")),
             param_grid=np.array([0.5, 1.0, 3.0]),
         )
         out = run_ising_sweep(cfg)
@@ -295,7 +291,7 @@ class TestAveragingStability:
                 model="ising",
                 n_spins=9,
                 param_grid=grid,
-                families=(EigenstatesFamily(ref_param=4.0, count=count),),
+                families=(Family("eig_ref", count=count, ref_param=4.0),),
                 seed=1,
             )
             records = run_ising_sweep(cfg)
