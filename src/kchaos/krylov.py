@@ -4,13 +4,15 @@ The recursion keeps the Krylov basis orthonormal to working precision: each
 candidate vector is re-projected against every previous Krylov vector (one
 classical Gram-Schmidt pass, repeated only after heavy cancellation) before
 its norm is taken as the next off-diagonal coefficient.  From
-``PRO_MIN_DIM`` on, a pass runs only at the steps where Simon's estimate of
-the orthogonality loss asks for one (partial reorthogonalization).  Time
-evolution inside the Krylov chain is computed spectrally.
+``PRO_MIN_DIM`` on, the N=10 Ising sector included, a pass runs only at the
+steps where Simon's estimate of the orthogonality loss asks for one (partial
+reorthogonalization).  Time evolution inside the Krylov chain is computed
+spectrally.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +26,10 @@ ORTHO_TOL = 1e-10
 # a Gram-Schmidt pass is repeated when it leaves less than this share of the norm
 DGKS_RATIO = 1.0 / np.sqrt(2.0)
 # from this dimension on, a Gram-Schmidt pass runs only where the omega
-# estimate asks for one; it breaks even near D = 400, and the N=10 sector
-# (D = 528) and smaller keep a pass at every step and their results bit for bit
-PRO_MIN_DIM = 600
+# estimate asks for one: with one BLAS thread and random seeds it breaks even
+# between D = 300 and 330 and saves 7-30% per chain from D = 400 (about 15%
+# on the N=10 sector, D = 528); smaller runs keep a pass at every step
+PRO_MIN_DIM = 400
 # the omega estimate asks for a pass when some |<q_n|q_k>| may exceed this
 OMEGA_TOL = 1e-12
 # time points per block of Krylov amplitudes in complexity_values
@@ -155,19 +158,18 @@ def lanczos_full_orth(
         eps = np.finfo(float).eps
         # roundoff one step adds to b_n * omega_{n,k}
         local = eps * np.sqrt(dim) * float(np.max(np.abs(spec.eigenvalues)))
-        # rows omega_{n-2}, omega_{n-1} and omega_n of the estimate
-        old, cur, new = np.full((3, dim), eps)
+        # rows omega_{n-2}, omega_{n-1} and omega_n of the estimate, and a work row
+        old, cur, new, work = np.full((4, dim), eps)
         new[0] = 1.0
     force = False
     passes = 0
 
     w = apply_h(v)
-    a[0] = np.real(np.vdot(v, w))
-    w = w - a[0] * v
+    a[0] = np.vdot(v, w).real
+    w -= a[0] * v
     k = 1
     for n in range(1, dim):
-        prev = q[:n]
-        b_n = np.linalg.norm(w)
+        b_n = math.sqrt(np.vdot(w, w).real)
         skip = False
         if partial:
             old, cur, new = cur, new, old
@@ -175,23 +177,29 @@ def lanczos_full_orth(
                 # b_n omega_{n,k} = b_{k+1} omega_{n-1,k+1} + (a_k - a_{n-1}) omega_{n-1,k}
                 #                   + b_k omega_{n-1,k-1} - b_{n-1} omega_{n-2,k}
                 m = n - 1
+                t, s = new[:m], work[:m]
                 if m:
-                    t = new[:m]
                     np.multiply(b[:m], cur[1:n], out=t)
-                    t += (a[:m] - a[m]) * cur[:m]
-                    t[1:] += b[: m - 1] * cur[: m - 1]
-                    t -= b[m - 1] * old[:m]
-                    t += np.copysign(local, t)
+                    np.subtract(a[:m], a[m], out=s)
+                    s *= cur[:m]
+                    t += s
+                    np.multiply(b[: m - 1], cur[: m - 1], out=s[1:])
+                    t[1:] += s[1:]
+                    np.multiply(b[m - 1], old[:m], out=s)
+                    t -= s
+                    t += np.copysign(local, t, out=s)
                     t /= b_n
-                skip = float(np.max(np.abs(new[:m]), initial=0.0)) <= OMEGA_TOL
+                skip = float(np.abs(t, out=s).max(initial=0.0)) <= OMEGA_TOL
                 new[m] = local / b_n
             # a pass asked for by the estimate is repeated at the next step
             force = not skip and not force
         if not skip:
+            prev = q[:n]
             for _ in range(2):
-                w = w - (prev @ w.conj()).conj() @ prev
+                # conj() of a real array is the array itself: one path for both dtypes
+                w -= (prev @ w.conj()).conj() @ prev
                 passes += 1
-                before, b_n = b_n, np.linalg.norm(w)
+                before, b_n = b_n, math.sqrt(np.vdot(w, w).real)
                 if b_n >= DGKS_RATIO * before:
                     break
             if partial:
@@ -200,13 +208,13 @@ def lanczos_full_orth(
             break
         if partial:
             new[n] = 1.0
-        v = w / b_n
-        q[n] = v
+        v = np.divide(w, b_n, out=q[n])
         b[n - 1] = b_n
         k = n + 1
-        u = apply_h(v)
-        a[n] = np.real(np.vdot(v, u))
-        w = u - a[n] * v - b_n * q[n - 1]
+        w = apply_h(v)
+        a[n] = np.vdot(v, w).real
+        w -= a[n] * v
+        w -= b_n * q[n - 1]
 
     basis = q[:k].T
     gram = q[:k].conj() @ basis

@@ -12,6 +12,7 @@ count.
 from __future__ import annotations
 
 import logging
+import numbers
 import zlib
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +85,8 @@ class Family:
             raise ConfigError(
                 f"unknown family {self.kind!r}; valid: all_up, uniform, random, border, eig_ref@<p>"
             )
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ConfigError(f"the {self.label} family needs an integer count, got {self.count!r}")
         if self.count < 1:
             raise ConfigError(f"the {self.label} family needs count >= 1, got {self.count}")
         if self.kind not in ("random", "eig_ref") and self.count != 1:
@@ -178,8 +181,12 @@ def parse_families(
             raise ConfigError(
                 f"unknown family {token!r}; valid: all_up, uniform, random, border, eig_ref@<p>"
             )
+        try:
+            ref_param = float(ref) if at else 0.0
+        except ValueError:
+            raise ConfigError(f"families: {token!r} needs a number after '@'") from None
         count = {"random": random_count, "eig_ref": eigen_count}.get(kind, 1)
-        fams.append(Family(kind, count, float(ref) if at else 0.0))
+        fams.append(Family(kind, count, ref_param))
     return tuple(fams)
 
 

@@ -553,6 +553,14 @@ class TestCli:
                 "the eiginf family needs a finite reference parameter, got inf",
             ),
             (
+                ["ising-sweep", "--n-spins", "6", "--families", "eig_ref@", "--eigen-count", "4"],
+                "families: 'eig_ref@' needs a number after '@'",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "6", "--families", "all_up,eig_ref@abc"],
+                "families: 'eig_ref@abc' needs a number after '@'",
+            ),
+            (
                 ["bound-sweep", "--model", "ising", "--n-spins", "6", "--j", "2"]
                 + ["--profile", "gaussian", "--center", "nan"],
                 "gaussian profile center must be finite, got nan",
@@ -636,6 +644,8 @@ class TestCli:
             "k-inf",
             "eig-ref-nan",
             "eig-ref-inf",
+            "eig-ref-empty",
+            "eig-ref-abc",
             "center-nan",
             "sigma-0",
             "deltas-nan",

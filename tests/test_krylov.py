@@ -196,15 +196,18 @@ REFERENCE_CASES = {
     "goe-halted-4": (_halted_case, "dense"),
     "banded-perturbed-1e-3": (_perturbed_case, "dense"),
     "goe-eigenstate": (_eigenstate_case, "dense"),
-    "banded512-random": (
-        lambda: (banded_hamiltonian(512, 0.2, 0.125, 7), state_random(512, 21)),
-        "band",
-    ),
 }
 
 
 # cases at or above PRO_MIN_DIM, where most steps skip the Gram-Schmidt pass
 PARTIAL_CASES = {
+    "ising10-all_up": (lambda: _ising_case(10, "all_up"), "sparse"),
+    "ising10-random": (lambda: _ising_case(10, "random"), "sparse"),
+    "ising10-eig_ref": (lambda: _ising_case(10, "eig_ref"), "sparse"),
+    "banded512-random": (
+        lambda: (banded_hamiltonian(512, 0.2, 0.125, 7), state_random(512, 21)),
+        "band",
+    ),
     "ising11-all_up": (lambda: _ising_case(11, "all_up"), "sparse"),
     "ising11-random": (lambda: _ising_case(11, "random"), "sparse"),
     "ising11-eig_ref": (lambda: _ising_case(11, "eig_ref"), "sparse"),

@@ -66,6 +66,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="border"):
             SweepConfig(model="ising", families=(Family("border"),))
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_family_count_must_be_integer(self, count):
+        with pytest.raises(ConfigError, match="needs an integer count"):
+            Family("random", count=count)
+
     def test_duplicate_labels(self):
         with pytest.raises(ConfigError, match="duplicate"):
             SweepConfig(model="ising", families=(Family("all_up"), Family("all_up")))
