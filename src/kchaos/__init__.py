@@ -23,7 +23,6 @@ from .hamiltonians import (
     parity_basis,
 )
 from .krylov import (
-    ComplexityCurve,
     LanczosResult,
     SaturationReport,
     complexity_values,

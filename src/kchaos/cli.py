@@ -194,10 +194,10 @@ def _cmd_bound_sweep(args) -> None:
         deltas,
         allow_degenerate=args.allow_degenerate,
     )
-    table = np.column_stack([sweep.deltas, sweep.c_bar, sweep.bound])
+    table = np.column_stack([deltas, sweep.c_bar, sweep.bound])
     write_table(args.out / "bound_sweep.csv", ["delta", "c_bar", "bound"], table)
     render_line_chart(
-        sweep.deltas,
+        deltas,
         [("c_bar", sweep.c_bar), ("bound", sweep.bound)],
         args.out / "bound_sweep.svg",
         title=f"saturation vs bound ({tag})",
@@ -240,13 +240,11 @@ def _cmd_single_run(args) -> None:
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=args.allow_degenerate)
     rep = saturation(lan, allow_degenerate=args.allow_degenerate)
     times = default_time_grid(spec.spectral_range, ham.dim, n_points=args.t_points)
-    curve = complexity_values(lan, times)
-    write_table(
-        args.out / "single_run.csv", ["t", "c_k"], np.column_stack([curve.times, curve.values])
-    )
+    values = complexity_values(lan, times)
+    write_table(args.out / "single_run.csv", ["t", "c_k"], np.column_stack([times, values]))
     render_line_chart(
-        curve.times[1:],
-        [("c_k", curve.values[1:])],
+        times[1:],
+        [("c_k", values[1:])],
         args.out / "single_run.svg",
         title=f"complexity growth ({tag}, {state_kind})",
         x_label="t",

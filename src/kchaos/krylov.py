@@ -32,8 +32,8 @@ DGKS_RATIO = 1.0 / np.sqrt(2.0)
 PRO_MIN_DIM = 400
 # the omega estimate asks for a pass when some |<q_n|q_k>| may exceed this
 OMEGA_TOL = 1e-12
-# time points per block of Krylov amplitudes in complexity_values
-CHUNK_TIMES = 16384
+# complexity_values takes times in blocks whose D x T complex phases fit in this many bytes
+BLOCK_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,6 @@ class LanczosResult:
     def halted_early(self) -> bool:
         """The recursion found a vanishing norm before full dimension."""
         return self.krylov_dim < self.spec.dim
-
-
-@dataclass(frozen=True)
-class ComplexityCurve:
-    """Mean Krylov-chain position as a function of time."""
-
-    times: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -246,6 +238,13 @@ def _seed_weights(lan: LanczosResult) -> np.ndarray:
     return lan.spec.eigenvectors.T @ lan.basis[:, 0]
 
 
+def _seed_phases(lan: LanczosResult, seed: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (D, len(times)) matrix exp(-i e_i t) <e_i|psi0>."""
+    phases = -1j * lan.spec.eigenvalues[:, None] * times[None, :]
+    np.exp(phases, out=phases)
+    return np.multiply(seed[:, None], phases, out=phases)
+
+
 def krylov_amplitudes(lan: LanczosResult, times: np.ndarray) -> np.ndarray:
     """Spectral-method amplitudes psi_n(t) on the Krylov chain.
 
@@ -253,26 +252,30 @@ def krylov_amplitudes(lan: LanczosResult, times: np.ndarray) -> np.ndarray:
     psi_n(t) = sum_i exp(-i e_i t) <K_n|e_i><e_i|psi0>.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases = np.exp(-1j * lan.spec.eigenvalues[:, None] * times[None, :])
-    return _eigen_overlaps(lan) @ (_seed_weights(lan)[:, None] * phases)
+    return _eigen_overlaps(lan) @ _seed_phases(lan, _seed_weights(lan), times)
 
 
-def complexity_values(lan: LanczosResult, times: np.ndarray) -> ComplexityCurve:
-    """Spectral-method complexity curve C(t) = sum_n n |psi_n(t)|^2,
-    evaluated ``CHUNK_TIMES`` times at a time.
+def complexity_values(lan: LanczosResult, times: np.ndarray) -> np.ndarray:
+    """Spectral-method complexity C(t) = sum_n n |psi_n(t)|^2, exactly 0 at
+    t = 0, where the state is the first chain site.
 
-    Never materializes the full amplitude matrix, which matters for the long
-    grids used in time-average checks; ``tests/oracles.py::complexity_curve``
-    computes the same curve from the full matrix of ``krylov_amplitudes``.
+    Works through blocks of times whose D x T phase matrix fits in
+    ``BLOCK_BYTES``, so long grids never materialize the full amplitude
+    matrix; ``tests/oracles.py::complexity_curve`` computes the same values
+    from the full matrix of ``krylov_amplitudes``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.empty(times.shape[0])
+    overlaps, seed = _eigen_overlaps(lan), _seed_weights(lan)
     positions = np.arange(lan.krylov_dim)
-    for start in range(0, times.shape[0], CHUNK_TIMES):
-        chunk = times[start : start + CHUNK_TIMES]
-        amps = krylov_amplitudes(lan, chunk)
-        values[start : start + chunk.shape[0]] = positions @ (np.abs(amps) ** 2)
-    return ComplexityCurve(times=times, values=values)
+    block = max(1, BLOCK_BYTES // (16 * lan.spec.dim))
+    for start in range(0, times.shape[0], block):
+        weights = np.abs(overlaps @ _seed_phases(lan, seed, times[start : start + block]))
+        values[start : start + block] = positions @ np.square(weights, out=weights)
+        # release this block's K x T weights before the next block allocates its own
+        del weights
+    values[times == 0.0] = 0.0
+    return values
 
 
 def saturation(lan: LanczosResult, allow_degenerate: bool = False) -> SaturationReport:

@@ -20,14 +20,13 @@ from .states import GaussianProfile, UniformComplement, state_perturbed
 
 @dataclass(frozen=True)
 class BoundSweep:
-    """Measured saturations against the quadratic bound on a delta grid.
+    """Measured saturations against the quadratic bound on the caller's delta grid.
 
     ``delta_ok_up_to`` is the largest grid delta such that the bound holds at
     it and at every smaller grid point (nan when it fails already at the
     first point).
     """
 
-    deltas: np.ndarray
     c_bar: np.ndarray
     bound: np.ndarray
     delta_ok_up_to: float
@@ -112,7 +111,7 @@ def run_bound_sweep(
         delta_ok = float("nan")
     else:
         delta_ok = float(deltas[ok_prefix[0] - 1])
-    return BoundSweep(deltas=deltas, c_bar=c_bar, bound=bound, delta_ok_up_to=delta_ok)
+    return BoundSweep(c_bar=c_bar, bound=bound, delta_ok_up_to=delta_ok)
 
 
 def overlap_scaling_check(

@@ -20,7 +20,7 @@ import numpy as np
 from kchaos.errors import NumericalError
 from kchaos.hamiltonians import MAX_SPINS, _as_hamiltonian, _reflect
 from kchaos.io import _STAT_COLUMNS, build_sweep_config, read_config_pairs
-from kchaos.krylov import DEFAULT_B_TOL, ComplexityCurve, LanczosResult
+from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
 from kchaos.sweeps import FamilyStats, SweepRecord
 
 
@@ -280,23 +280,25 @@ def tight_binding_propagate(lan, t_max, dt):
     return times, out
 
 
-def complexity_curve(psi_matrix, times):
-    """First moment of the chain occupation: C(t) = sum_n n |psi_n(t)|^2."""
+def complexity_curve(psi_matrix):
+    """First moment of the chain occupation, C(t) = sum_n n |psi_n(t)|^2, for
+    each column of the amplitude matrix."""
     psi_matrix = np.asarray(psi_matrix)
     positions = np.arange(psi_matrix.shape[0])
-    values = positions @ (np.abs(psi_matrix) ** 2)
-    return ComplexityCurve(times=np.asarray(times, dtype=float), values=values)
+    return positions @ (np.abs(psi_matrix) ** 2)
 
 
-def time_average_complexity(curve, t_final, fastest_phase=None):
-    """Trapezoidal average of a complexity curve over [0, t_final].
+def time_average_complexity(times, values, t_final, fastest_phase=None):
+    """Trapezoidal average over [0, t_final] of complexity values sampled at
+    ``times``.
 
     ``fastest_phase`` (the spectral range) enables an undersampling warning
     when the grid cannot resolve the fastest oscillation.
     """
-    mask = curve.times <= t_final * (1.0 + 1e-12)
-    t = curve.times[mask]
-    v = curve.values[mask]
+    times = np.asarray(times, dtype=float)
+    mask = times <= t_final * (1.0 + 1e-12)
+    t = times[mask]
+    v = np.asarray(values)[mask]
     if t.shape[0] < 2:
         raise ValueError("need at least two samples inside [0, t_final]")
     max_step = float(np.max(np.diff(t)))

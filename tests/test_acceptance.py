@@ -96,8 +96,10 @@ def time_average_runs():
         horizon = 1e3 * 48 / spec.spectral_range
         dt = 0.2 / spec.spectral_range
         times = np.arange(0.0, horizon + dt / 2, dt)
-        curve = complexity_values(lan, times)
-        average = time_average_complexity(curve, horizon, fastest_phase=spec.spectral_range)
+        values = complexity_values(lan, times)
+        average = time_average_complexity(
+            times, values, horizon, fastest_phase=spec.spectral_range
+        )
         runs.append((ham, spec, lan, psi, rep.c_bar, average))
     return runs
 
@@ -154,10 +156,10 @@ def test_c02_eigenstate_suppression(eigenstate_runs):
     ok = True
     for ham, spec, lan, psi in eigenstate_runs:
         times = np.linspace(0.0, 50.0, 257)
-        curve = complexity_values(lan, times)
+        values = complexity_values(lan, times)
         rep = saturation(lan)
         ok &= lan.krylov_dim == 1
-        ok &= bool(np.all(curve.values == 0.0))
+        ok &= bool(np.all(values == 0.0))
         ok &= rep.c_bar == 0.0
     report(2, "eigenstate suppression", ok)
     assert ok

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kchaos import (
-    ComplexityCurve,
     DegenerateSpectrumError,
     NumericalError,
     UniformComplement,
@@ -24,7 +23,7 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
-from kchaos.krylov import PRO_MIN_DIM
+from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     assert_lanczos_structure,
@@ -335,10 +334,10 @@ class TestComplexity:
         ham, spec, psi = two_level()
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 2 * np.pi, 65)
-        curve = complexity_curve(krylov_amplitudes(lan, ts), ts)
-        assert np.allclose(curve.values, (1 - np.cos(ts)) / 2, atol=1e-14)
-        at_pi = complexity_curve(krylov_amplitudes(lan, np.array([np.pi])), [np.pi])
-        assert at_pi.values[0] == pytest.approx(1.0, abs=1e-14)
+        values = complexity_curve(krylov_amplitudes(lan, ts))
+        assert np.allclose(values, (1 - np.cos(ts)) / 2, atol=1e-14)
+        at_pi = complexity_curve(krylov_amplitudes(lan, np.array([np.pi])))
+        assert at_pi[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_at_time_zero_and_bounded(self):
         ham = build_goe(20, 4)
@@ -346,23 +345,67 @@ class TestComplexity:
         psi = state_random(20, 5)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 30.0, 300)
-        curve = complexity_curve(krylov_amplitudes(lan, ts), ts)
-        assert curve.values[0] == pytest.approx(0.0, abs=1e-20)
-        assert np.all(curve.values <= lan.krylov_dim - 1)
-        assert np.all(curve.values >= 0)
+        values = complexity_curve(krylov_amplitudes(lan, ts))
+        assert values[0] == pytest.approx(0.0, abs=1e-20)
+        assert np.all(values <= lan.krylov_dim - 1)
+        assert np.all(values >= 0)
 
-    def test_chunked_matches_direct(self, monkeypatch):
+    @pytest.mark.parametrize("seed", ["real", "complex", "eigenstate"])
+    def test_exactly_zero_at_time_zero(self, seed):
+        # the evolution starts on the first chain site, so C(0) is 0, not roundoff
+        ham = build_goe(40, 6)
+        spec = eigendecompose(ham)
+        psi = {
+            "real": state_random(40, 7),
+            "complex": state_random(40, 7) * np.exp(0.4j),
+            "eigenstate": state_eigenstate(spec, 13),
+        }[seed]
+        lan = lanczos_full_orth(ham, psi, spec=spec)
+        ts = np.array([0.0, 0.5, 0.0, 2.0])
+        values = complexity_values(lan, ts)
+        assert isinstance(values, np.ndarray)
+        assert values[0] == 0.0 and values[2] == 0.0
+        later = complexity_curve(krylov_amplitudes(lan, ts[[1, 3]]))
+        assert np.allclose(values[[1, 3]], later, rtol=0, atol=1e-12)
+
+    # 16 * D * 100 bytes hold 100 times per block; 1 byte is less than one
+    # column, which still gives blocks of one time
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            pytest.param(16 * 20 * 100, id="100-per-block"),
+            pytest.param(1, id="below-one-column"),
+        ],
+    )
+    def test_chunked_matches_direct(self, monkeypatch, budget):
         ham = build_goe(20, 4)
         spec = eigendecompose(ham)
         psi = state_random(20, 5)
         lan = lanczos_full_orth(ham, psi, spec=spec)
         ts = np.linspace(0.0, 30.0, 1001)
-        direct = complexity_curve(krylov_amplitudes(lan, ts), ts)
-        monkeypatch.setattr("kchaos.krylov.CHUNK_TIMES", 100)
+        direct = complexity_curve(krylov_amplitudes(lan, ts))
+        direct[0] = 0.0
+        monkeypatch.setattr("kchaos.krylov.BLOCK_BYTES", budget)
         chunked = complexity_values(lan, ts)
         # chunk width changes BLAS summation order, so exact equality is not
         # guaranteed, only agreement at rounding level
-        assert np.allclose(direct.values, chunked.values, rtol=0, atol=1e-12)
+        assert np.allclose(direct, chunked, rtol=0, atol=1e-12)
+
+    def test_one_overlap_product_per_call(self, monkeypatch):
+        ham = build_goe(20, 4)
+        spec = eigendecompose(ham)
+        lan = lanczos_full_orth(ham, state_random(20, 5), spec=spec)
+        calls = []
+
+        def counted(run):
+            calls.append(run)
+            return _eigen_overlaps(run)
+
+        monkeypatch.setattr("kchaos.krylov._eigen_overlaps", counted)
+        # 7 times per block: 1001 times take 143 blocks
+        monkeypatch.setattr("kchaos.krylov.BLOCK_BYTES", 16 * 20 * 7)
+        complexity_values(lan, np.linspace(0.0, 30.0, 1001))
+        assert len(calls) == 1
 
 
 class TestSaturation:
@@ -393,8 +436,7 @@ class TestSaturation:
             mean_spacing = spec.spectral_range / (spec.dim - 1)
             horizon = 1e4 / mean_spacing
             ts = np.arange(0.0, horizon, 0.2 / spec.spectral_range)
-            curve = complexity_values(lan, ts)
-            avg = time_average_complexity(curve, horizon)
+            avg = time_average_complexity(ts, complexity_values(lan, ts), horizon)
             assert abs(avg - rep.c_bar) / rep.c_bar < 0.01
 
     def test_q0n_marginals(self, goe32):
@@ -438,13 +480,13 @@ class TestSaturation:
 class TestTimeAverage:
     def test_cosine_oracle(self):
         ts = np.arange(0.0, 2 * np.pi * 1000 + 1e-3, 1e-3)
-        curve = ComplexityCurve(times=ts, values=(1 - np.cos(ts)) / 2)
-        assert time_average_complexity(curve, ts[-1]) == pytest.approx(0.5, abs=1e-3)
+        values = (1 - np.cos(ts)) / 2
+        assert time_average_complexity(ts, values, ts[-1]) == pytest.approx(0.5, abs=1e-3)
 
     def test_constant_curve(self):
         ts = np.linspace(0.0, 10.0, 11)
-        curve = ComplexityCurve(times=ts, values=np.full(11, 3.25))
-        assert time_average_complexity(curve, 10.0) == pytest.approx(3.25, rel=1e-14)
+        values = np.full(11, 3.25)
+        assert time_average_complexity(ts, values, 10.0) == pytest.approx(3.25, rel=1e-14)
 
     def test_converges_to_saturation_ising(self):
         basis = parity_basis(6, "even")
@@ -455,15 +497,14 @@ class TestTimeAverage:
         rep = saturation(lan)
         horizon = 1e3 * spec.dim / spec.spectral_range
         ts = np.arange(0.0, horizon, 0.2 / spec.spectral_range)
-        curve = complexity_values(lan, ts)
-        avg = time_average_complexity(curve, horizon, fastest_phase=spec.spectral_range)
+        values = complexity_values(lan, ts)
+        avg = time_average_complexity(ts, values, horizon, fastest_phase=spec.spectral_range)
         assert abs(avg - rep.c_bar) / rep.c_bar < 0.01
 
     def test_undersampled_warning(self):
         ts = np.linspace(0.0, 100.0, 11)
-        curve = ComplexityCurve(times=ts, values=np.ones(11))
         with pytest.warns(UserWarning, match="undersample"):
-            time_average_complexity(curve, 100.0, fastest_phase=50.0)
+            time_average_complexity(ts, np.ones(11), 100.0, fastest_phase=50.0)
 
 
 def test_default_time_grid_shape():
