@@ -59,9 +59,8 @@ from .states import (
 )
 from .sweeps import (
     Family,
-    FamilyStats,
     SweepConfig,
-    SweepRecord,
+    SweepTable,
     derive_seed,
     run_banded_sweep,
     run_ising_sweep,

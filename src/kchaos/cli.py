@@ -23,7 +23,6 @@ from .io import (
     parse_bool,
     parse_floats,
     read_config_pairs,
-    records_to_table,
     render_line_chart,
     write_table,
 )
@@ -54,13 +53,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    def seed(text: str) -> int:
+        """The type of every seed flag: an integer >= 0, checked before any build."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     parser = _Parser(prog="kchaos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     out = _Parser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("."), help="output directory")
     common = _Parser(add_help=False, parents=[out])
-    common.add_argument("--seed", type=int, help="master seed")
+    common.add_argument("--seed", type=seed, help="master seed")
 
     for model, entry in MODELS.items():
         p = sub.add_parser(f"{model}-sweep", parents=[out], help=entry.help)
@@ -95,7 +101,7 @@ def _build_parser() -> _Parser:
     )
     _add_model_flags(p, ("ising", "banded", "goe"), n_spins=10, hz=1.02, k=1.0)
     p.add_argument("--state", choices=("all_up", "uniform", "random"), default=None)
-    p.add_argument("--state-seed", type=int, default=1)
+    p.add_argument("--state-seed", type=seed, default=1)
     p.add_argument("--t-points", type=int, default=400)
     p.add_argument("--w-frac", type=float, default=0.025)
     p.add_argument("--n0-frac", type=float, default=0.1)
@@ -145,20 +151,21 @@ def _cmd_sweep(args) -> None:
             if CONFIG_KEYS[key].into == "param_grid":
                 pairs.pop("param_values", None)  # grid flags replace the file's grid
     cfg = build_sweep_config(pairs)
-    records = (run_ising_sweep if model == "ising" else run_banded_sweep)(cfg)
+    sweep = (run_ising_sweep if model == "ising" else run_banded_sweep)(cfg)
     stem = f"{model}_sweep"
     csv_path = args.out / f"{stem}.csv"
-    labels = [f.label for f in cfg.families]
-    header, table = records_to_table(records, labels)
-    write_table(csv_path, header, table)
+    write_table(csv_path, sweep.header, sweep.rows)
     (args.out / f"{stem}.meta.txt").write_text(config_summary(cfg), newline="\n")
-    for chart, column, title in _SWEEP_CHARTS if records else ():
-        columns = ["eta"] + [f"{lab}_{column}" for lab in labels]
-        series = [(c, table[:, header.index(c)]) for c in columns]
+    for chart, stat, title in _SWEEP_CHARTS if len(sweep.rows) else ():
+        columns = ["eta"] + [f"{f.label}_{stat}" for f in cfg.families]
         render_line_chart(
-            table[:, 0], series, args.out / f"{stem}_{chart}.svg", title=title, x_label="param"
+            sweep.column("param"),
+            [(c, sweep.column(c)) for c in columns],
+            args.out / f"{stem}_{chart}.svg",
+            title=title,
+            x_label="param",
         )
-    print(f"{stem}: {len(records)} grid points -> {csv_path}")
+    print(f"{stem}: {len(sweep.rows)} grid points -> {csv_path}")
 
 
 def _profile_from_args(args):

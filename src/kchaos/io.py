@@ -8,7 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -17,34 +17,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import DispersionConfig
-from .sweeps import MODELS, SweepConfig, SweepRecord, parse_families
-
-_STAT_COLUMNS = ("cbar_norm", "inv_sigma_a", "inv_sigma_b", "inv_sigma_a_norm", "inv_sigma_b_norm")
+from .sweeps import MODELS, SweepConfig, parse_families
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def records_to_table(
-    records: list[SweepRecord], labels: list[str]
-) -> tuple[list[str], np.ndarray]:
-    """Flatten sweep records into a header plus a float table: ``param``,
-    ``eta``, then five columns per family in ``labels`` order."""
-    header = ["param", "eta"] + [f"{fam}_{stat}" for fam in labels for stat in _STAT_COLUMNS]
-    rows = []
-    for rec in records:
-        row = [rec.param, rec.eta]
-        for label in labels:
-            st = rec.families[label]
-            row.extend(
-                (st.c_bar_norm, st.inv_sigma_a, st.inv_sigma_b, st.inv_sigma_a_norm, st.inv_sigma_b_norm)
-            )
-        rows.append(row)
-    return header, np.array(rows) if rows else np.empty((0, len(header)))
-
-
-def write_table(path: str | Path, header: list[str], rows: np.ndarray) -> None:
+def write_table(path: str | Path, header: Sequence[str], rows: np.ndarray) -> None:
     """Plain CSV with 12-significant-digit values and \\n endings."""
     lines = [",".join(header)]
     if np.asarray(rows).size:

@@ -16,7 +16,7 @@ import numbers
 import zlib
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -156,6 +156,8 @@ class SweepConfig:
                     f"the {fam.label} family needs {fam.count} eigenstates but the spectrum "
                     f"has dimension {dim}; set --eigen-count (eigen_count) to at most {dim}"
                 )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.threads < 1:
@@ -190,24 +192,25 @@ def parse_families(
     return tuple(fams)
 
 
-@dataclass(frozen=True)
-class FamilyStats:
-    """Family-averaged diagnostics at one grid point."""
-
-    c_bar_norm: float
-    inv_sigma_a: float
-    inv_sigma_b: float
-    inv_sigma_a_norm: float = float("nan")
-    inv_sigma_b_norm: float = float("nan")
+# per family, in column order: the member means, then the two inverse
+# dispersions on the eta scale of the sweep
+STAT_COLUMNS = ("cbar_norm", "inv_sigma_a", "inv_sigma_b", "inv_sigma_a_norm", "inv_sigma_b_norm")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point: control parameter, eta and per-family statistics."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A finished sweep: one read-only float row per kept grid point.
 
-    param: float
-    eta: float
-    families: dict[str, FamilyStats]
+    ``header`` is ``("param", "eta")`` followed by ``f"{label}_{stat}"`` for
+    every family, in config order, and every entry of STAT_COLUMNS.
+    """
+
+    header: tuple[str, ...]
+    rows: np.ndarray
+
+    def column(self, name: str) -> np.ndarray:
+        """The column headed ``name``, as a view of ``rows``."""
+        return self.rows[:, self.header.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +373,21 @@ def _member_stats(
     return rep.c_bar_normalized, inv_a, inv_b
 
 
-def _stats_from_rows(rows: list[tuple[float, float, float]]) -> FamilyStats:
+def _stats_from_rows(rows: list[tuple[float, float, float]]) -> list[float]:
+    """One family's STAT_COLUMNS cells at a point; the normalized two are nan."""
     arr = np.array(rows)
     inv_a = arr[:, 1][np.isfinite(arr[:, 1])]
     inv_b = arr[:, 2][np.isfinite(arr[:, 2])]
-    return FamilyStats(
-        c_bar_norm=float(arr[:, 0].mean()),
-        inv_sigma_a=float(inv_a.mean()) if inv_a.size else float("nan"),
-        inv_sigma_b=float(inv_b.mean()) if inv_b.size else float("nan"),
-    )
+    return [
+        float(arr[:, 0].mean()),
+        float(inv_a.mean()) if inv_a.size else float("nan"),
+        float(inv_b.mean()) if inv_b.size else float("nan"),
+        float("nan"),
+        float("nan"),
+    ]
 
 
-def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
+def _sweep(cfg: SweepConfig, model_name: str) -> SweepTable:
     """The one point loop, threaded over points when asked, in grid order,
     with the normalized columns filled.
 
@@ -393,7 +399,7 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
     model = MODELS[model_name]
     fixed = _fixed_members(cfg)
 
-    def point(i: int) -> SweepRecord | None:
+    def point(i: int) -> list[float] | None:
         param = float(cfg.param_grid[i])
         hams = model.hamiltonians(cfg, param)
         specs = [eigendecompose(h) for h in hams]
@@ -409,14 +415,14 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
         if levels is None:
             levels = [s.eigenvalues for s in specs]
         eta_val = float(np.mean([eta(r_ratio_mean(e)) for e in levels]))
-        stats: dict[str, FamilyStats] = {}
+        row = [param, eta_val]
         for fam in cfg.families:
             members = fixed[fam.label]
             if members is None:
                 members = [(r, state_uniform_eigenbasis(s)) for r, s in enumerate(specs)]
             rows = [_member_stats(hams[r], specs[r], psi, cfg) for r, psi in members]
-            stats[fam.label] = _stats_from_rows(rows)
-        return SweepRecord(param=param, eta=eta_val, families=stats)
+            row += _stats_from_rows(rows)
+        return row
 
     indices = range(cfg.param_grid.shape[0])
     if cfg.threads > 1:
@@ -424,10 +430,16 @@ def _sweep(cfg: SweepConfig, model_name: str) -> list[SweepRecord]:
             results = list(pool.map(point, indices))
     else:
         results = [point(i) for i in indices]
-    return _normalize([r for r in results if r is not None])
+    header = ("param", "eta") + tuple(
+        f"{fam.label}_{stat}" for fam in cfg.families for stat in STAT_COLUMNS
+    )
+    rows = [r for r in results if r is not None]
+    table = SweepTable(header, np.array(rows, dtype=float).reshape(len(rows), len(header)))
+    _normalize(table)
+    return table
 
 
-def run_ising_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def run_ising_sweep(cfg: SweepConfig) -> SweepTable:
     """Spin-chain transition sweep over the magnetic-field grid.
 
     ``cfg.n_eta`` selects the chain length used for the eta curve; by
@@ -436,7 +448,7 @@ def run_ising_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     return _sweep(cfg, "ising")
 
 
-def run_banded_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def run_banded_sweep(cfg: SweepConfig) -> SweepTable:
     """Banded random-matrix sweep over the coupling grid.
 
     Each realization draws one (H0, V) pair that is traced through the whole
@@ -463,33 +475,17 @@ def _normalize_partial(col: np.ndarray, eta_col: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalize(records: list[SweepRecord]) -> list[SweepRecord]:
-    """Fill the normalized inverse-dispersion columns of a sweep.
+def _normalize(table: SweepTable) -> None:
+    """Fill the normalized inverse-dispersion columns of a sweep in place,
+    then make its rows read-only.
 
-    Each family's 1/sigma curves are mapped onto the eta scale of the same
-    sweep; the saturation column keeps its natural normalization and is left
-    untouched.  Returns new records; with fewer than two records every
-    normalized value is nan.
+    A column ``{name}_norm`` whose ``{name}`` is also a column holds that
+    column mapped onto the eta scale of the same sweep; the saturation column
+    keeps its natural normalization and is left untouched.  With fewer than
+    two rows every normalized value is nan.
     """
-    eta_col = np.array([r.eta for r in records])
-    labels = list(records[0].families.keys()) if records else []
-    normalized: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for label in labels:
-        a_col = np.array([r.families[label].inv_sigma_a for r in records])
-        b_col = np.array([r.families[label].inv_sigma_b for r in records])
-        normalized[label] = (
-            _normalize_partial(a_col, eta_col),
-            _normalize_partial(b_col, eta_col),
-        )
-    out = []
-    for i, rec in enumerate(records):
-        fams = {
-            label: replace(
-                rec.families[label],
-                inv_sigma_a_norm=float(normalized[label][0][i]),
-                inv_sigma_b_norm=float(normalized[label][1][i]),
-            )
-            for label in labels
-        }
-        out.append(SweepRecord(param=rec.param, eta=rec.eta, families=fams))
-    return out
+    eta_col = table.column("eta")
+    for name in table.header:
+        if f"{name}_norm" in table.header:
+            table.column(f"{name}_norm")[:] = _normalize_partial(table.column(name), eta_col)
+    table.rows.setflags(write=False)

@@ -19,9 +19,9 @@ import numpy as np
 
 from kchaos.errors import NumericalError
 from kchaos.hamiltonians import MAX_SPINS, _as_hamiltonian, _reflect
-from kchaos.io import _STAT_COLUMNS, build_sweep_config, read_config_pairs
+from kchaos.io import build_sweep_config, read_config_pairs
 from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
-from kchaos.sweeps import FamilyStats, SweepRecord
+from kchaos.sweeps import STAT_COLUMNS, SweepTable
 
 
 def build_ising_full(n_spins, h_z):
@@ -357,26 +357,14 @@ def _average_ranks(v):
 
 
 def read_csv(path):
-    """Inverse of ``io.records_to_table`` and ``io.write_table``: the sweep
-    records of a sweep CSV."""
+    """Inverse of ``io.write_table`` for a sweep CSV: its ``SweepTable``."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    if header[:2] != ["param", "eta"] or (len(header) - 2) % len(_STAT_COLUMNS) != 0:
+    header = tuple(lines[0].split(","))
+    if header[:2] != ("param", "eta") or (len(header) - 2) % len(STAT_COLUMNS) != 0:
         raise ValueError(f"{path}: not a sweep CSV (header {header[:3]}...)")
-    labels = [
-        header[2 + i * len(_STAT_COLUMNS)].removesuffix("_cbar_norm")
-        for i in range((len(header) - 2) // len(_STAT_COLUMNS))
-    ]
-    records = []
-    for line in lines[1:]:
-        vals = [float(tok) for tok in line.split(",")]
-        fams = {}
-        for i, label in enumerate(labels):
-            base = 2 + i * len(_STAT_COLUMNS)
-            fams[label] = FamilyStats(*vals[base : base + len(_STAT_COLUMNS)])
-        records.append(SweepRecord(param=vals[0], eta=vals[1], families=fams))
-    return records
+    rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+    return SweepTable(header, np.array(rows).reshape(len(rows), len(header)))
 
 
 def parse_config(path):

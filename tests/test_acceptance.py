@@ -128,7 +128,7 @@ def allup_sweep_n10():
 
 
 @pytest.fixture(scope="module")
-def ising_transition_records():
+def ising_transition_sweep():
     """Criterion 7: harness sweep at N=10 with the eta chain pinned to N=10."""
     cfg = SweepConfig(
         model="ising",
@@ -225,17 +225,17 @@ def test_c06_r_ratio_constants():
     assert ok, parts
 
 
-def test_c07_ising_transition_shape(ising_transition_records):
-    records = ising_transition_records
-    params = np.array([r.param for r in records])
-    eta_col = np.array([r.eta for r in records])
+def test_c07_ising_transition_shape(ising_transition_sweep):
+    sweep = ising_transition_sweep
+    params = sweep.column("param")
+    eta_col = sweep.column("eta")
     i10 = int(np.argmin(np.abs(params - 1.0)))
     i40 = int(np.argmin(np.abs(params - 4.0)))
     assert params[i10] == 1.0 and params[i40] == 4.0
 
-    allup_cbar = np.array([r.families["all_up"].c_bar_norm for r in records])
-    uniform_cbar = np.array([r.families["uniform"].c_bar_norm for r in records])
-    allup_isbn = np.array([r.families["all_up"].inv_sigma_b_norm for r in records])
+    allup_cbar = sweep.column("all_up_cbar_norm")
+    uniform_cbar = sweep.column("uniform_cbar_norm")
+    allup_isbn = sweep.column("all_up_inv_sigma_b_norm")
 
     parts = {
         "eta chaotic point": eta_col[i10] >= 0.8,
@@ -270,11 +270,11 @@ def test_c08_banded_transition_shape():
         ),
         seed=30,
     )
-    records = run_banded_sweep(cfg)
-    eta_col = np.array([r.eta for r in records])
-    uniform = np.array([r.families["uniform"].c_bar_norm for r in records])
-    random_fam = np.array([r.families["random"].c_bar_norm for r in records])
-    eig0 = np.array([r.families["eig0"].c_bar_norm for r in records])
+    sweep = run_banded_sweep(cfg)
+    eta_col = sweep.column("eta")
+    uniform = sweep.column("uniform_cbar_norm")
+    random_fam = sweep.column("random_cbar_norm")
+    eig0 = sweep.column("eig0_cbar_norm")
 
     # real Gaussian states carry Porter-Thomas eigenbasis weights, not the flat
     # weights that give exactly (D-1)/2 (c01), so they sit on a plateau below 1

@@ -12,15 +12,20 @@ from kchaos.io import (
     CONFIG_KEYS,
     build_sweep_config,
     config_summary,
-    records_to_table,
     render_line_chart,
     write_table,
 )
 from oracles import parse_config, read_csv
 
 
+# the tiny sweep as a config file, for the CLI
+TINY_CONFIG = (
+    "model = ising\nn_spins = 6\nparam_values = 0.5,1,2\nfamilies = all_up,uniform\nseed = 1\n"
+)
+
+
 @pytest.fixture(scope="module")
-def tiny_records():
+def tiny_sweep():
     cfg = SweepConfig(
         model="ising",
         n_spins=6,
@@ -29,9 +34,6 @@ def tiny_records():
         seed=1,
     )
     return run_ising_sweep(cfg)
-
-
-TINY_LABELS = ["all_up", "uniform"]
 
 
 def _eigh_must_not_run(ham):
@@ -51,9 +53,9 @@ REJECTED_CONFIGS = {
 
 
 class TestCsv:
-    def test_header_layout(self, tiny_records, tmp_path):
+    def test_header_layout(self, tiny_sweep, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_table(path, *records_to_table(tiny_records, TINY_LABELS))
+        write_table(path, tiny_sweep.header, tiny_sweep.rows)
         header = path.read_text().split("\n")[0].split(",")
         assert header[:2] == ["param", "eta"]
         assert header[2:7] == [
@@ -67,43 +69,29 @@ class TestCsv:
         assert path.read_text().endswith("\n")
         assert "\r" not in path.read_text()
 
-    def test_round_trip(self, tiny_records, tmp_path):
-        path = tmp_path / "sweep.csv"
-        write_table(path, *records_to_table(tiny_records, TINY_LABELS))
-        back = read_csv(path)
-        assert len(back) == len(tiny_records)
-        for a, b in zip(tiny_records, back):
-            assert b.param == pytest.approx(a.param, abs=1e-10)
-            assert b.eta == pytest.approx(a.eta, abs=1e-10)
-            for label in a.families:
-                for col in (
-                    "c_bar_norm",
-                    "inv_sigma_a",
-                    "inv_sigma_b",
-                    "inv_sigma_a_norm",
-                    "inv_sigma_b_norm",
-                ):
-                    assert getattr(b.families[label], col) == pytest.approx(
-                        getattr(a.families[label], col), abs=1e-10
-                    )
+    def test_round_trip(self, tiny_sweep, tmp_path, capsys):
+        # the CLI's CSV is the library's table, written once
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CONFIG)
+        assert main(["ising-sweep", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        back = read_csv(tmp_path / "ising_sweep.csv")
+        assert back.header == tiny_sweep.header
+        assert np.allclose(back.rows, tiny_sweep.rows, rtol=0.0, atol=1e-10, equal_nan=True)
+        assert not tiny_sweep.rows.flags.writeable
 
-    def test_empty_records_header_only(self, tmp_path):
-        header, table = records_to_table([], ["all_up"])
-        assert header[:3] == ["param", "eta", "all_up_cbar_norm"] and len(header) == 7
-        assert table.shape == (0, 7)
+    def test_empty_records_header_only(self, tiny_sweep, tmp_path):
         path = tmp_path / "empty.csv"
-        write_table(path, header, table)
-        assert path.read_text() == ",".join(header) + "\n"
+        write_table(path, tiny_sweep.header, tiny_sweep.rows[:0])
+        assert path.read_text() == ",".join(tiny_sweep.header) + "\n"
 
 
 class TestSvg:
-    def test_renders_series_and_is_deterministic(self, tiny_records, tmp_path):
-        header, table = records_to_table(tiny_records, TINY_LABELS)
+    def test_renders_series_and_is_deterministic(self, tiny_sweep, tmp_path):
         cols = ["eta", "all_up_cbar_norm", "uniform_cbar_norm"]
-        series = [(c, table[:, header.index(c)]) for c in cols]
+        series = [(c, tiny_sweep.column(c)) for c in cols]
         paths = [tmp_path / "a.svg", tmp_path / "b.svg"]
         for path in paths:
-            render_line_chart(table[:, 0], series, path, x_label="param")
+            render_line_chart(tiny_sweep.column("param"), series, path, x_label="param")
         body = paths[0].read_text()
         assert body.count("<polyline") == 3
         assert body == paths[1].read_text()
@@ -261,8 +249,7 @@ class TestCli:
         assert (tmp_path / "ising_sweep.csv").exists()
         assert (tmp_path / "ising_sweep.meta.txt").exists()
         assert (tmp_path / "ising_sweep_saturation.svg").exists()
-        records = read_csv(tmp_path / "ising_sweep.csv")
-        assert len(records) == 3
+        assert len(read_csv(tmp_path / "ising_sweep.csv").rows) == 3
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -334,14 +321,15 @@ class TestCli:
         assert main(["ising-sweep", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
         for suffix in (".csv", ".meta.txt", "_saturation.svg", "_dispersion.svg"):
             assert (tmp_path / f"ising_sweep{suffix}").exists(), suffix
-        records = read_csv(tmp_path / "ising_sweep.csv")
-        assert len(records) == 2
-        for rec in records:
-            st = rec.families["all_up"]
-            assert np.isfinite(st.inv_sigma_b)
-            assert np.isnan(st.inv_sigma_a_norm) and np.isnan(st.inv_sigma_b_norm)
+        sweep = read_csv(tmp_path / "ising_sweep.csv")
+        assert len(sweep.rows) == 2
+        assert np.all(np.isfinite(sweep.column("all_up_inv_sigma_b")))
+        assert np.all(np.isnan(sweep.column("all_up_inv_sigma_a_norm")))
+        assert np.all(np.isnan(sweep.column("all_up_inv_sigma_b_norm")))
 
-    def test_every_point_skipped_writes_header_only(self, tmp_path, capsys, monkeypatch):
+    def test_every_point_skipped_writes_header_only(
+        self, tiny_sweep, tmp_path, capsys, monkeypatch
+    ):
         real_eigendecompose = kchaos.sweeps.eigendecompose
 
         def always_degenerate(ham, *args, **kwargs):
@@ -352,8 +340,8 @@ class TestCli:
         argv = ["ising-sweep", "--n-spins", "6", "--hz-min", "1", "--hz-max", "2"]
         argv += ["--hz-points", "2", "--families", "all_up,uniform", "--out", str(tmp_path)]
         assert main(argv) == 0
-        header, _ = records_to_table([], ["all_up", "uniform"])
-        assert (tmp_path / "ising_sweep.csv").read_text() == ",".join(header) + "\n"
+        # tiny_sweep runs the same two families
+        assert (tmp_path / "ising_sweep.csv").read_text() == ",".join(tiny_sweep.header) + "\n"
         assert "families = all_up,uniform" in (tmp_path / "ising_sweep.meta.txt").read_text()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ising_sweep.csv",
@@ -626,6 +614,34 @@ class TestCli:
                 + ["--state", "random"],
                 "ising N=2 odd hz=1.02 has 1 levels; eta needs at least 3",
             ),
+            # the eig_ref references are built before anything reads the seed
+            (
+                ["ising-sweep", "--n-spins", "6", "--eigen-count", "4", "--random-count", "2"]
+                + ["--hz-min", "0.5", "--hz-max", "1", "--hz-points", "2", "--seed", "-1"],
+                "seed must be >= 0, got -1",
+            ),
+            (
+                ["banded-sweep", "--dim", "16", "--realizations", "1", "--eigen-count", "2"]
+                + ["--k-min", "0.1", "--k-max", "1", "--k-points", "2", "--seed", "-2"],
+                "seed must be >= 0, got -2",
+            ),
+            (
+                ["single-run", "--model", "goe", "--dim", "16", "--seed", "-3"],
+                "argument --seed: must be >= 0, got -3",
+            ),
+            (
+                ["single-run", "--model", "goe", "--dim", "16", "--state", "random"]
+                + ["--state-seed", "-1"],
+                "argument --state-seed: must be >= 0, got -1",
+            ),
+            (
+                ["bound-sweep", "--model", "banded", "--dim", "16", "--seed", "-3"],
+                "argument --seed: must be >= 0, got -3",
+            ),
+            (
+                ["scaling-check", "--dim", "16", "--seed", "-3"],
+                "argument --seed: must be >= 0, got -3",
+            ),
         ],
         ids=[
             "w-frac",
@@ -663,6 +679,12 @@ class TestCli:
             "single-run-goe-dim-2",
             "single-run-banded-dim-2",
             "single-run-ising-dim-1",
+            "ising-sweep-seed-minus-1",
+            "banded-sweep-seed-minus-2",
+            "single-run-seed-minus-3",
+            "single-run-state-seed-minus-1",
+            "bound-sweep-seed-minus-3",
+            "scaling-check-seed-minus-3",
         ],
     )
     def test_rejected_before_eigensolve(
@@ -737,7 +759,7 @@ def test_every_sweep_flag_reaches_meta(command, tmp_path, capsys):
     meta = (tmp_path / f"{stem}.meta.txt").read_text().splitlines()
     for args, line in flags:
         assert line in meta, args
-    assert len(read_csv(tmp_path / f"{stem}.csv")) == 2
+    assert len(read_csv(tmp_path / f"{stem}.csv").rows) == 2
 
 
 def test_readme_commands_parse():

@@ -97,13 +97,13 @@ class TestModelTable:
         monkeypatch.setitem(kchaos.sweeps.MODELS, "goe", goe)
         families = kchaos.sweeps.parse_families("goe", random_count=3)
         cfg = SweepConfig(model="goe", dim=48, families=families, seed=5)
-        records = kchaos.sweeps._sweep(cfg, "goe")
-        assert [r.param for r in records] == [1.0, 2.0]
-        for rec in records:
-            assert np.isfinite(rec.eta)
-            for stats in rec.families.values():
-                assert np.isfinite([stats.c_bar_norm, stats.inv_sigma_a, stats.inv_sigma_b]).all()
-            assert rec.families["uniform"].c_bar_norm == pytest.approx(1.0, abs=1e-9)
+        sweep = kchaos.sweeps._sweep(cfg, "goe")
+        assert list(sweep.column("param")) == [1.0, 2.0]
+        assert np.all(np.isfinite(sweep.column("eta")))
+        for label in ("uniform", "random"):
+            for stat in ("cbar_norm", "inv_sigma_a", "inv_sigma_b"):
+                assert np.all(np.isfinite(sweep.column(f"{label}_{stat}")))
+        assert np.allclose(sweep.column("uniform_cbar_norm"), 1.0, rtol=0.0, atol=1e-9)
         with pytest.raises(ConfigError, match="the all_up family applies to the ising model only"):
             SweepConfig(model="goe", dim=48, families=(Family("all_up"),))
         with pytest.raises(ConfigError, match="the border family applies to the banded model only"):
@@ -120,27 +120,26 @@ class TestSeedDerivation:
 
 class TestIsingSweep:
     def test_record_fields_and_uniform_exactness(self):
-        records = run_ising_sweep(small_ising_cfg())
-        assert [r.param for r in records] == list(HZ_GRID)
-        for rec in records:
-            assert np.isfinite(rec.eta)
-            uniform = rec.families["uniform"]
-            assert uniform.c_bar_norm == pytest.approx(1.0, abs=1e-8)
-            for fam in rec.families.values():
-                assert 0.0 <= fam.c_bar_norm <= 1.0 + 1e-6
-                assert np.isfinite(fam.inv_sigma_a) and np.isfinite(fam.inv_sigma_b)
+        sweep = run_ising_sweep(small_ising_cfg())
+        assert list(sweep.column("param")) == list(HZ_GRID)
+        assert np.all(np.isfinite(sweep.column("eta")))
+        assert np.allclose(sweep.column("uniform_cbar_norm"), 1.0, rtol=0.0, atol=1e-8)
+        for label in ("all_up", "uniform"):
+            cbar = sweep.column(f"{label}_cbar_norm")
+            assert np.all((0.0 <= cbar) & (cbar <= 1.0 + 1e-6))
+            assert np.all(np.isfinite(sweep.column(f"{label}_inv_sigma_a")))
+            assert np.all(np.isfinite(sweep.column(f"{label}_inv_sigma_b")))
 
     def test_single_point_grid(self):
-        records = run_ising_sweep(small_ising_cfg(param_grid=np.array([1.3])))
-        assert len(records) == 1
-        fam = records[0].families["all_up"]
-        assert np.isfinite(fam.c_bar_norm)
+        sweep = run_ising_sweep(small_ising_cfg(param_grid=np.array([1.3])))
+        assert len(sweep.rows) == 1
+        assert np.isfinite(sweep.column("all_up_cbar_norm")[0])
 
     def test_threads_do_not_change_results(self):
         serial = run_ising_sweep(small_ising_cfg())
         threaded = run_ising_sweep(small_ising_cfg(threads=2))
-        for a, b in zip(serial, threaded):
-            assert a == b
+        assert serial.header == threaded.header
+        assert np.array_equal(serial.rows, threaded.rows, equal_nan=True)
 
     def test_degenerate_point_skipped_with_warning(self, monkeypatch, caplog):
         real_eigendecompose = kchaos.sweeps.eigendecompose
@@ -153,8 +152,8 @@ class TestIsingSweep:
 
         monkeypatch.setattr(kchaos.sweeps, "eigendecompose", flag_at_one)
         with caplog.at_level(logging.WARNING, logger="kchaos.sweeps"):
-            records = run_ising_sweep(small_ising_cfg())
-        assert [r.param for r in records] == [0.3, 3.0]
+            sweep = run_ising_sweep(small_ising_cfg())
+        assert list(sweep.column("param")) == [0.3, 3.0]
         assert any("skipping h_z=1" in m for m in caplog.messages)
 
     def test_eigenstate_family_vanishes_at_reference(self):
@@ -162,12 +161,12 @@ class TestIsingSweep:
             families=(Family("eig_ref", count=4, ref_param=3.0),),
             param_grid=np.array([1.0, 3.0]),
         )
-        records = run_ising_sweep(cfg)
-        at_ref = records[1].families["eig3"]
-        assert at_ref.c_bar_norm == pytest.approx(0.0, abs=1e-12)
-        assert np.isnan(at_ref.inv_sigma_b)
-        away = records[0].families["eig3"]
-        assert away.c_bar_norm > 0.1 and np.isfinite(away.inv_sigma_b)
+        sweep = run_ising_sweep(cfg)
+        away, at_ref = sweep.column("eig3_cbar_norm")
+        assert at_ref == pytest.approx(0.0, abs=1e-12)
+        assert away > 0.1
+        inv_b = sweep.column("eig3_inv_sigma_b")
+        assert np.isfinite(inv_b[0]) and np.isnan(inv_b[1])
 
     def test_n_invariance_of_all_up_curves(self):
         # the all-up saturation and dispersion curves barely move with N once
@@ -178,35 +177,30 @@ class TestIsingSweep:
         curves = {}
         for n in (8, 10):
             cfg = small_ising_cfg(n_spins=n, n_eta=10, param_grid=grid)
-            records = run_ising_sweep(cfg)
+            sweep = run_ising_sweep(cfg)
             curves[n] = np.array(
-                [
-                    (r.families["all_up"].c_bar_norm, r.families["all_up"].inv_sigma_b_norm)
-                    for r in records
-                ]
+                [sweep.column("all_up_cbar_norm"), sweep.column("all_up_inv_sigma_b_norm")]
             )
         assert np.max(np.abs(curves[8] - curves[10])) < 0.1
 
 
 class TestBandedSweep:
     def test_records_and_families(self):
-        records = run_banded_sweep(small_banded_cfg())
-        assert len(records) == 3
-        for rec in records:
-            assert rec.families["uniform"].c_bar_norm == pytest.approx(1.0, abs=1e-8)
-            assert 0.0 <= rec.families["border"].c_bar_norm <= 1.0 + 1e-6
+        sweep = run_banded_sweep(small_banded_cfg())
+        assert len(sweep.rows) == 3
+        assert np.allclose(sweep.column("uniform_cbar_norm"), 1.0, rtol=0.0, atol=1e-8)
+        border = sweep.column("border_cbar_norm")
+        assert np.all((0.0 <= border) & (border <= 1.0 + 1e-6))
 
     def test_transition_visible_in_eigenstate_family(self):
-        records = run_banded_sweep(small_banded_cfg())
-        eig = [r.families["eig0"].c_bar_norm for r in records]
+        eig = run_banded_sweep(small_banded_cfg()).column("eig0_cbar_norm")
         assert eig[-1] - eig[0] > 0.3
 
     def test_random_family_plateau(self):
         # saturation of real random states sits on a flat plateau well below
         # the delocalized value 1 (the Krylov chain retains residual
         # localization even deep in the chaotic phase)
-        records = run_banded_sweep(small_banded_cfg())
-        rand = np.array([r.families["random"].c_bar_norm for r in records])
+        rand = run_banded_sweep(small_banded_cfg()).column("random_cbar_norm")
         assert np.all((rand > 0.55) & (rand < 0.9))
         assert rand.max() - rand.min() < 0.15
 
@@ -234,54 +228,50 @@ class TestBandedSweep:
     def test_threads_do_not_change_results(self):
         serial = run_banded_sweep(small_banded_cfg())
         threaded = run_banded_sweep(small_banded_cfg(threads=2))
-        for a, b in zip(serial, threaded):
-            assert a == b
+        assert serial.header == threaded.header
+        assert np.array_equal(serial.rows, threaded.rows, equal_nan=True)
 
 
 class TestPostprocess:
     def test_normalized_columns_filled(self):
-        records = run_ising_sweep(small_ising_cfg())
-        eta_col = np.array([r.eta for r in records])
+        sweep = run_ising_sweep(small_ising_cfg())
         for label in ("all_up", "uniform"):
-            col = np.array([r.families[label].inv_sigma_b_norm for r in records])
+            col = sweep.column(f"{label}_inv_sigma_b_norm")
             assert np.all(np.isfinite(col))
-            assert np.mean(col - eta_col) == pytest.approx(0.0, abs=1e-12)
+            assert np.mean(col - sweep.column("eta")) == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_eta_column_recovers_eta(self):
-        records = run_ising_sweep(small_ising_cfg())
-        eta_col = np.array([r.eta for r in records])
-        doctored = []
-        for rec in records:
-            fams = {
-                label: dataclasses.replace(st, inv_sigma_a=2.0 * rec.eta + 3.0)
-                for label, st in rec.families.items()
-            }
-            doctored.append(dataclasses.replace(rec, families=fams))
-        out = kchaos.sweeps._normalize(doctored)
-        got = np.array([r.families["all_up"].inv_sigma_a_norm for r in out])
-        assert np.allclose(got, eta_col, atol=1e-12)
+        sweep = run_ising_sweep(small_ising_cfg())
+        doctored = kchaos.sweeps.SweepTable(sweep.header, sweep.rows.copy())
+        doctored.column("all_up_inv_sigma_a")[:] = 2.0 * sweep.column("eta") + 3.0
+        kchaos.sweeps._normalize(doctored)
+        got = doctored.column("all_up_inv_sigma_a_norm")
+        assert np.allclose(got, sweep.column("eta"), atol=1e-12)
+        assert not doctored.rows.flags.writeable
 
     def test_saturation_column_untouched(self):
-        records = run_ising_sweep(small_ising_cfg())
-        out = kchaos.sweeps._normalize(records)
-        for before, after in zip(records, out):
-            for label in before.families:
-                assert before.families[label].c_bar_norm == after.families[label].c_bar_norm
+        sweep = run_ising_sweep(small_ising_cfg())
+        again = kchaos.sweeps.SweepTable(sweep.header, sweep.rows.copy())
+        kchaos.sweeps._normalize(again)
+        for label in ("all_up", "uniform"):
+            name = f"{label}_cbar_norm"
+            assert np.array_equal(again.column(name), sweep.column(name))
 
     def test_one_point_sweep_gives_nan_columns(self):
-        records = run_ising_sweep(small_ising_cfg(param_grid=np.array([1.0])))
-        assert len(records) == 1
-        for st in records[0].families.values():
-            assert np.isfinite(st.inv_sigma_a) and np.isfinite(st.inv_sigma_b)
-            assert np.isnan(st.inv_sigma_a_norm) and np.isnan(st.inv_sigma_b_norm)
+        sweep = run_ising_sweep(small_ising_cfg(param_grid=np.array([1.0])))
+        assert len(sweep.rows) == 1
+        for label in ("all_up", "uniform"):
+            assert np.isfinite(sweep.column(f"{label}_inv_sigma_a")[0])
+            assert np.isfinite(sweep.column(f"{label}_inv_sigma_b")[0])
+            assert np.isnan(sweep.column(f"{label}_inv_sigma_a_norm")[0])
+            assert np.isnan(sweep.column(f"{label}_inv_sigma_b_norm")[0])
 
     def test_partial_normalization_keeps_nan(self):
         cfg = small_ising_cfg(
             families=(Family("eig_ref", count=4, ref_param=3.0), Family("all_up")),
             param_grid=np.array([0.5, 1.0, 3.0]),
         )
-        out = run_ising_sweep(cfg)
-        col = np.array([r.families["eig3"].inv_sigma_b_norm for r in out])
+        col = run_ising_sweep(cfg).column("eig3_inv_sigma_b_norm")
         assert np.isnan(col[-1]) and np.all(np.isfinite(col[:-1]))
 
 
@@ -299,6 +289,5 @@ class TestAveragingStability:
                 families=(Family("eig_ref", count=count, ref_param=4.0),),
                 seed=1,
             )
-            records = run_ising_sweep(cfg)
-            values[count] = np.array([r.families["eig4"].c_bar_norm for r in records])
+            values[count] = run_ising_sweep(cfg).column("eig4_cbar_norm")
         assert np.max(np.abs(values[40] - values[80])) < 0.05
