@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DegenerateSpectrumError, NumericalError
 from .hamiltonians import build_goe, build_ising_sector, eigendecompose, parity_basis
 from .io import (
     CONFIG_KEYS,
@@ -38,6 +38,7 @@ from .states import (
 )
 from .sweeps import (
     MODELS,
+    SweepConfig,
     _check_levels,
     banded_hamiltonian,
     run_banded_sweep,
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
     out = _Parser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("."), help="output directory")
     common = _Parser(add_help=False, parents=[out])
-    common.add_argument("--seed", type=seed, help="master seed")
+    common.add_argument("--seed", type=seed, default=0, help="master seed")
 
     for model, entry in MODELS.items():
         p = sub.add_parser(f"{model}-sweep", parents=[out], help=entry.help)
@@ -103,8 +104,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--state", choices=("all_up", "uniform", "random"), default=None)
     p.add_argument("--state-seed", type=seed, default=1)
     p.add_argument("--t-points", type=int, default=400)
-    p.add_argument("--w-frac", type=float, default=0.025)
-    p.add_argument("--n0-frac", type=float, default=0.1)
+    p.add_argument("--w-frac", type=float, default=DispersionConfig.w_frac)
+    p.add_argument("--n0-frac", type=float, default=DispersionConfig.n0_frac)
     p.set_defaults(func=_cmd_single_run)
 
     return parser
@@ -117,7 +118,7 @@ def _add_model_flags(p, models: tuple[str, ...], n_spins: int, hz: float, k: flo
     p.add_argument("--sector", choices=("even", "odd"), default="even")
     p.add_argument("--hz", type=float, default=hz)
     p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--bandwidth-frac", type=float, default=0.2)
+    p.add_argument("--bandwidth-frac", type=float, default=SweepConfig.bandwidth_frac)
     p.add_argument("--k", type=float, default=k)
     p.add_argument("--allow-degenerate", action="store_true")
 
@@ -178,14 +179,13 @@ def _profile_from_args(args):
 
 def _model_from_args(args):
     """The Hamiltonian named by the model flags, and its tag for titles."""
-    seed = args.seed or 0
     if args.model == "ising":
         ham = build_ising_sector(args.n_spins, args.hz, args.sector)
         return ham, f"ising N={args.n_spins} {args.sector} hz={args.hz:g}"
     if args.model == "banded":
-        ham = banded_hamiltonian(args.dim, args.bandwidth_frac, args.k, seed)
+        ham = banded_hamiltonian(args.dim, args.bandwidth_frac, args.k, args.seed)
         return ham, f"banded D={args.dim} b={ham.meta['bandwidth']} k={args.k:g}"
-    return build_goe(args.dim, seed), f"goe D={args.dim}"
+    return build_goe(args.dim, args.seed), f"goe D={args.dim}"
 
 
 def _cmd_bound_sweep(args) -> None:
@@ -214,7 +214,7 @@ def _cmd_bound_sweep(args) -> None:
 
 
 def _cmd_scaling_check(args) -> None:
-    ham = build_goe(args.dim, args.seed or 0)
+    ham = build_goe(args.dim, args.seed)
     j = args.j if args.j is not None else args.dim // 2
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_points)
     report = overlap_scaling_check(ham, j, _profile_from_args(args), deltas)
@@ -245,7 +245,7 @@ def _cmd_single_run(args) -> None:
     if state_kind == "uniform":
         psi = state_uniform_eigenbasis(spec)
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=args.allow_degenerate)
-    rep = saturation(lan, allow_degenerate=args.allow_degenerate)
+    rep = saturation(lan)
     times = default_time_grid(spec.spectral_range, ham.dim, n_points=args.t_points)
     values = complexity_values(lan, times)
     write_table(args.out / "single_run.csv", ["t", "c_k"], np.column_stack([times, values]))
@@ -277,7 +277,11 @@ def main(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         args.func(args)
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, DegenerateSpectrumError) and "allow_degenerate" in vars(args):
+            # the command's own opt-in, not the library keyword
+            message = message.replace("allow_degenerate=True", "--allow-degenerate")
+        print(f"numerical error: {message}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

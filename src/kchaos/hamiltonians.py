@@ -71,8 +71,11 @@ class Hamiltonian:
     """Real symmetric matrix plus a descriptor of the model it came from."""
 
     matrix: np.ndarray
-    dim: int
     meta: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @cached_property
     def _product(self) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
@@ -148,7 +151,10 @@ class ParityBasis:
     sector: str
     representatives: np.ndarray
     palindrome: np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.representatives.shape[0]
 
 
 def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
@@ -160,7 +166,7 @@ def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
     if resid > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |H - H^T| = {resid:.3e}")
     matrix.setflags(write=False)
-    return Hamiltonian(matrix=matrix, dim=matrix.shape[0], meta=meta)
+    return Hamiltonian(matrix=matrix, meta=meta)
 
 
 def _reflect(states: np.ndarray, n_spins: int) -> np.ndarray:
@@ -171,28 +177,14 @@ def _reflect(states: np.ndarray, n_spins: int) -> np.ndarray:
     return rev
 
 
-def check_chain(n_spins: int, sector: str) -> None:
-    """Reject a chain length or sector that ``parity_basis`` does not build."""
+def parity_basis(n_spins: int, sector: str) -> ParityBasis:
+    """Symmetry-adapted basis of the even or odd reflection sector."""
     if n_spins < 1:
         raise ValueError("n_spins must be >= 1")
     if n_spins > MAX_SPINS:
         raise ValueError(f"n_spins = {n_spins} exceeds the cap of {MAX_SPINS} spins")
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-
-
-def sector_dim(n_spins: int, sector: str) -> int:
-    """Dimension of ``parity_basis(n_spins, sector)`` without building it: half
-    of the 2^N states, plus (even) or minus (odd) half of the 2^ceil(N/2)
-    palindromes."""
-    check_chain(n_spins, sector)
-    palindromes = 2 ** ((n_spins + 1) // 2)
-    return (2**n_spins + (palindromes if sector == "even" else -palindromes)) // 2
-
-
-def parity_basis(n_spins: int, sector: str) -> ParityBasis:
-    """Symmetry-adapted basis of the even or odd reflection sector."""
-    check_chain(n_spins, sector)
     idx = np.arange(2**n_spins)
     rev = _reflect(idx, n_spins)
     keep = idx <= rev if sector == "even" else idx < rev
@@ -202,7 +194,6 @@ def parity_basis(n_spins: int, sector: str) -> ParityBasis:
         sector=sector,
         representatives=reps,
         palindrome=reps == rev[keep],
-        dim=int(reps.size),
     )
 
 

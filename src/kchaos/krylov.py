@@ -77,14 +77,6 @@ class SaturationReport:
     q0n: np.ndarray
 
 
-def _check_degeneracy(spec: SpectralData, allow_degenerate: bool) -> None:
-    if spec.near_degenerate and not allow_degenerate:
-        raise DegenerateSpectrumError(
-            f"spectrum has min spacing {spec.min_spacing:.3e} below tolerance "
-            f"{spec.degeneracy_tol:.3e}; pass allow_degenerate=True to proceed"
-        )
-
-
 def lanczos_full_orth(
     ham: Hamiltonian,
     psi0: np.ndarray,
@@ -132,7 +124,11 @@ def lanczos_full_orth(
         )
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
-    _check_degeneracy(spec, allow_degenerate)
+    if spec.near_degenerate and not allow_degenerate:
+        raise DegenerateSpectrumError(
+            f"spectrum has min spacing {spec.min_spacing:.3e} below tolerance "
+            f"{spec.degeneracy_tol:.3e}; pass allow_degenerate=True to proceed"
+        )
     scale = spec.spectral_range
     if scale == 0.0:
         scale = 1.0
@@ -278,16 +274,17 @@ def complexity_values(lan: LanczosResult, times: np.ndarray) -> np.ndarray:
     return values
 
 
-def saturation(lan: LanczosResult, allow_degenerate: bool = False) -> SaturationReport:
+def saturation(lan: LanczosResult) -> SaturationReport:
     """Exact infinite-time average of the Krylov complexity.
 
     For a nondegenerate spectrum the time average of C(t) equals
     sum_n n Q_0n with Q_0n = sum_i |<e_i|psi0>|^2 |<K_n|e_i>|^2.  When the
     recursion halted at K < D the weights are supported on n < K and the
-    formula remains valid inside the Krylov subspace.
+    formula remains valid inside the Krylov subspace.  The spectrum is the
+    one ``lanczos_full_orth`` gated, so a run allowed on a near-degenerate
+    spectrum is averaged without a second check.
     """
     spec = lan.spec
-    _check_degeneracy(spec, allow_degenerate)
     overlaps = _eigen_overlaps(lan)
     if np.iscomplexobj(overlaps):
         overlaps = np.abs(overlaps)

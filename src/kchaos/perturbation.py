@@ -98,7 +98,7 @@ def run_bound_sweep(
     for i, delta in enumerate(deltas):
         psi = state_perturbed(spec, j, profile, float(delta))
         lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=allow_degenerate)
-        rep = saturation(lan, allow_degenerate=allow_degenerate)
+        rep = saturation(lan)
         c_bar[i] = rep.c_bar
         bound[i] = bound_rhs(ham.dim, float(delta))
         # release this D x D Krylov basis before the next run allocates its own

@@ -29,7 +29,6 @@ from .hamiltonians import (
     build_ising_sector,
     eigendecompose,
     parity_basis,
-    sector_dim,
 )
 from .krylov import lanczos_full_orth, saturation
 from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
@@ -242,11 +241,10 @@ def _check_ising(cfg: SweepConfig) -> int:
     """The ising fields of ``cfg``; returns the dimension of the sweep spectrum."""
     if np.any(cfg.param_grid == 0.0):
         raise ConfigError("h_z = 0 is a symmetry point and must not be on the grid")
-    # the n_eta chain is first built inside the point loop
-    _check_levels(sector_dim(cfg.n_eta, cfg.sector), f"the {cfg.sector} sector of N={cfg.n_eta}")
-    dim = _check_levels(
-        sector_dim(cfg.n_spins, cfg.sector), f"the {cfg.sector} sector of N={cfg.n_spins}"
-    )
+    # the n_eta chain is first built inside the point loop; the sweep chain,
+    # checked last, gives the returned dimension
+    for n in (cfg.n_eta, cfg.n_spins):
+        dim = _check_levels(parity_basis(n, cfg.sector).dim, f"the {cfg.sector} sector of N={n}")
     if cfg.sector != "even" and any(f.kind == "all_up" for f in cfg.families):
         raise ConfigError(
             "the all_up family needs sector = even, where the palindromic all-up state lives"
@@ -362,7 +360,7 @@ def _member_stats(
     cfg: SweepConfig,
 ) -> tuple[float, float, float]:
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=cfg.allow_degenerate)
-    rep = saturation(lan, allow_degenerate=cfg.allow_degenerate)
+    rep = saturation(lan)
     try:
         inv_a = 1.0 / sigma_moving(lan.a, cfg.dispersion)
         inv_b = 1.0 / sigma_moving(lan.b, cfg.dispersion)

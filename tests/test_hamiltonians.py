@@ -10,7 +10,7 @@ from kchaos import (
     eigendecompose,
     parity_basis,
 )
-from kchaos.hamiltonians import BAND_ROWS, _band_product, sector_dim
+from kchaos.hamiltonians import BAND_ROWS, _band_product
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     bincount_matvec,
@@ -83,11 +83,6 @@ class TestParityBasis:
         assert even.dim == (2**n + 2 ** ((n + 1) // 2)) // 2
         assert even.dim + odd.dim == 2**n
 
-    def test_sector_dim_without_building(self):
-        for n in range(1, 15):
-            for sector in ("even", "odd"):
-                assert sector_dim(n, sector) == parity_basis(n, sector).dim
-
     def test_known_sector_sizes(self):
         assert parity_basis(10, "even").dim == 528
         assert parity_basis(13, "even").dim == 4160
@@ -97,9 +92,18 @@ class TestParityBasis:
         p = dense_matrix(basis)
         assert np.allclose(p.T @ p, np.eye(basis.dim), atol=1e-14)
 
-    def test_bad_sector(self):
-        with pytest.raises(ValueError):
-            parity_basis(3, "both")
+    @pytest.mark.parametrize(
+        "n, sector, message",
+        [
+            (0, "even", "n_spins must be >= 1"),
+            (15, "even", "exceeds the cap of 14 spins"),
+            (3, "both", "sector must be 'even' or 'odd', got 'both'"),
+        ],
+        ids=["n-0", "n-15", "sector-both"],
+    )
+    def test_bad_sector(self, n, sector, message):
+        with pytest.raises(ValueError, match=message):
+            parity_basis(n, sector)
 
 
 class TestProjection:

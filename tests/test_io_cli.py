@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kchaos.perturbation
 import kchaos.sweeps
 from kchaos import ConfigError, Family, SweepConfig, run_ising_sweep
 from kchaos.cli import _build_parser, main
@@ -368,26 +369,38 @@ class TestCli:
         assert main(["ising-sweep", "--config", str(cfgfile)]) == 1
         assert "bogus" in capsys.readouterr().err
 
-    def test_numerical_error_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, csv",
+        [
+            (["single-run", "--state", "all_up"], "single_run.csv"),
+            (["bound-sweep", "--delta-points", "3"], "bound_sweep.csv"),
+        ],
+        ids=["single-run", "bound-sweep"],
+    )
+    def test_numerical_error_exit_two(self, argv, csv, tmp_path, capsys):
         # deep paramagnetic multiplets are near-degenerate relative to the
         # Zeeman-dominated spectral range
-        code = main(
-            [
-                "single-run",
-                "--model",
-                "ising",
-                "--n-spins",
-                "6",
-                "--hz",
-                "1000",
-                "--state",
-                "all_up",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "degenerate" in capsys.readouterr().err.lower()
+        argv = argv + ["--model", "ising", "--n-spins", "6", "--hz", "1000"]
+        assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
+        err = capsys.readouterr().err
+        assert "degenerate" in err.lower()
+        assert "pass --allow-degenerate to proceed" in err
+        assert not (tmp_path / "refused" / csv).exists()
+        assert main(argv + ["--allow-degenerate", "--out", str(tmp_path / "allowed")]) == 0
+        assert (tmp_path / "allowed" / csv).exists()
+
+    def test_scaling_check_degeneracy_keeps_library_text(self, tmp_path, capsys, monkeypatch):
+        # scaling-check has no --allow-degenerate, so the message names no flag
+        real_eigendecompose = kchaos.perturbation.eigendecompose
+
+        def always_degenerate(ham):
+            return dataclasses.replace(real_eigendecompose(ham), near_degenerate=True)
+
+        monkeypatch.setattr(kchaos.perturbation, "eigendecompose", always_degenerate)
+        assert main(["scaling-check", "--dim", "16", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "pass allow_degenerate=True to proceed" in err
+        assert "--allow-degenerate" not in err
 
     def test_bound_sweep_and_scaling_check(self, tmp_path, capsys):
         assert (

@@ -469,12 +469,13 @@ class TestSaturation:
         assert saturation(lan2).c_bar == pytest.approx(base, rel=1e-10)
 
     def test_degenerate_gate(self):
+        # the gate is lanczos_full_orth's (TestLanczos::test_degeneracy_gate);
+        # saturation trusts the spectrum the run was allowed on
         ham = hamiltonian_from_matrix(np.diag([1.0, 1.0, 2.0]))
         spec = eigendecompose(ham)
         psi = state_random(3, 0)
         lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=True)
-        with pytest.raises(DegenerateSpectrumError):
-            saturation(lan)
+        assert np.isfinite(saturation(lan).c_bar)
 
 
 class TestTimeAverage:
