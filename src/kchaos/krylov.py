@@ -6,8 +6,9 @@ classical Gram-Schmidt pass, repeated only after heavy cancellation) before
 its norm is taken as the next off-diagonal coefficient.  From
 ``PRO_MIN_DIM`` on, the N=10 Ising sector included, a pass runs only at the
 steps where Simon's estimate of the orthogonality loss asks for one (partial
-reorthogonalization).  Time evolution inside the Krylov chain is computed
-spectrally.
+reorthogonalization).  The chain of a perturbed eigenstate is derived from
+the chain of its admixture by a Givens bulge chase (``perturbed_chain``).
+Time evolution inside the Krylov chain is computed spectrally.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ PRO_MIN_DIM = 400
 OMEGA_TOL = 1e-12
 # complexity_values takes times in blocks whose D x T complex phases fit in this many bytes
 BLOCK_BYTES = 64 * 2**20
+# perturbed_chain forms the Gram matrix of its rows in blocks of at most this
+# many bytes: the whole K x K matrix next to the rows set the process peak
+# past eigh's on banded D=1024
+GRAM_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,96 @@ def lanczos_full_orth(
         reorth_passes=passes,
         spec=spec,
     )
+
+
+def _gram_residual(rows: np.ndarray) -> float:
+    """Largest deviation of the Gram matrix of real ``rows`` from the
+    identity, formed in row blocks of at most ``GRAM_BLOCK_BYTES``."""
+    k = rows.shape[0]
+    step = max(1, GRAM_BLOCK_BYTES // (8 * k))
+    resid = 0.0
+    for start in range(0, k, step):
+        # rows [start, start + step) against themselves and every later row
+        gram = rows[start : start + step] @ rows[start:].T
+        diag = np.arange(gram.shape[0])
+        gram[diag, diag] -= 1.0
+        resid = max(resid, float(np.max(np.abs(gram, out=gram))))
+    return resid
+
+
+def perturbed_chain(
+    a: np.ndarray,
+    b: np.ndarray,
+    rows: np.ndarray,
+    levels: np.ndarray,
+    j: int,
+    delta: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lanczos chain of ``(|e_j> + delta |t>) / sqrt(1 + delta^2)`` on
+    diag(E), in eigen-coordinates, from the chain of ``|t>``.
+
+    ``levels`` are the eigenvalues E, ascending, and ``a``, ``b`` and
+    ``rows`` the coefficients and the Krylov vectors (as rows, in
+    eigen-coordinates) of a unit state ``|t>`` with no weight on level ``j``.
+    In the basis e_j, t_0, t_1, ... diag(E) is E_j beside the tridiagonal T
+    of ``|t>``.  One rotation in the (e_j, t_0) plane makes the seed the first
+    basis vector and leaves a bulge at (0, 2); Givens rotations in the planes
+    (n, n+1), n = 1, 2, ..., chase it down and off the matrix and restore
+    tridiagonal form with the first vector fixed (node updating, Gragg and
+    Harrod, Numer. Math. 44, 1984), so by the implicit-Q theorem the result
+    is the seed's Lanczos chain.  The work is O(K) scalar steps plus two row
+    rotations of length D per step.  The chain halts, as
+    ``lanczos_full_orth`` does, at the first off-diagonal coefficient below
+    ``DEFAULT_B_TOL`` times the spectral range (times 1 when it is 0), and
+    the rotated rows pass the same Gram check against ``ORTHO_TOL``, made in
+    row blocks of ``GRAM_BLOCK_BYTES``.
+
+    Returns the K diagonal coefficients, the K-1 positive off-diagonal ones and
+    the (K, D) Krylov rows, the first of which is the seed.
+    """
+    size = a.shape[0] + 1
+    scale = float(levels[-1] - levels[0])
+    tol = DEFAULT_B_TOL * (scale if scale != 0.0 else 1.0)
+    out_a = np.empty(size)
+    out_b = np.empty(size - 1)
+    out = np.empty((size, rows.shape[1]))
+    carry, work = np.zeros((2, rows.shape[1]))
+    carry[j] = 1.0
+    c = 1.0 / math.hypot(1.0, delta)
+    s = delta * c
+    # p, e: entries (n, n) and (n, n+1) before the rotation in (n, n+1); row
+    # n+1 is still t_n, whose diagonal entry is a[n] and coupling onward b[n]
+    p, e = float(levels[j]), 0.0
+    k = size
+    for n in range(size - 1):
+        q, f = a[n], (b[n] if n + 1 < size - 1 else 0.0)
+        cc, ss, cs = c * c, s * s, c * s
+        out_a[n] = cc * p + 2.0 * cs * e + ss * q
+        # (x, y): entries (n, n+1) and (n, n+2) after the rotation; y is the bulge
+        x, y = cs * (q - p) + (cc - ss) * e, s * f
+        p, e = ss * p - 2.0 * cs * e + cc * q, c * f
+        tau = rows[n]
+        row = np.multiply(carry, c, out=out[n])
+        row += np.multiply(tau, s, out=work)
+        carry *= -s
+        carry += np.multiply(tau, c, out=work)
+        r = math.hypot(x, y)
+        if r < tol:
+            k = n + 1
+            break
+        out_b[n] = r
+        c, s = x / r, y / r
+    else:
+        # the last rotation has no bulge to chase: it only fixes the sign of b
+        out_a[-1] = p
+        np.multiply(carry, c, out=out[-1])
+    basis = out[:k]
+    ortho_resid = _gram_residual(basis)
+    if ortho_resid > ORTHO_TOL:
+        raise OrthogonalityLossError(
+            f"Krylov basis orthogonality residual {ortho_resid:.3e} exceeds {ORTHO_TOL:.1e}"
+        )
+    return out_a[:k], out_b[: k - 1], basis
 
 
 def _eigen_overlaps(lan: LanczosResult) -> np.ndarray:

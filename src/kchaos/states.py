@@ -92,13 +92,14 @@ def state_eigenstate(spec_ref: SpectralData, index: int) -> np.ndarray:
     return _make_state(spec_ref.eigenvectors[:, index].copy())
 
 
-def state_perturbed(
-    spec: SpectralData,
+def perturbed_coefficients(
+    dim: int,
     j: int,
     tilde_profile: GaussianProfile | UniformComplement,
     delta: float,
 ) -> np.ndarray:
-    """Eigenstate j plus a weight-delta admixture orthogonal to it.
+    """Eigenbasis coefficients of eigenstate j plus a weight-delta admixture
+    orthogonal to it.
 
     The state is ``(|e_j> + delta |t>) / sqrt(1 + delta^2)`` where ``|t>`` is
     a unit vector built from ``tilde_profile`` with its j-th eigenbasis
@@ -106,9 +107,8 @@ def state_perturbed(
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if not 0 <= j < spec.dim:
-        raise ValueError(f"eigenstate index {j} out of range [0, {spec.dim})")
-    dim = spec.dim
+    if not 0 <= j < dim:
+        raise ValueError(f"eigenstate index {j} out of range [0, {dim})")
     if isinstance(tilde_profile, GaussianProfile):
         i = np.arange(dim, dtype=float)
         tilde = np.exp(-((i - tilde_profile.center) ** 2) / (4.0 * tilde_profile.sigma**2))
@@ -123,6 +123,17 @@ def state_perturbed(
     coeffs = (delta / tilde_norm) * tilde
     coeffs[j] = 1.0
     coeffs /= np.sqrt(1.0 + delta * delta)
+    return coeffs
+
+
+def state_perturbed(
+    spec: SpectralData,
+    j: int,
+    tilde_profile: GaussianProfile | UniformComplement,
+    delta: float,
+) -> np.ndarray:
+    """The state of ``perturbed_coefficients`` in the basis of the matrix."""
+    coeffs = perturbed_coefficients(spec.dim, j, tilde_profile, delta)
     return _make_state(spec.eigenvectors @ coeffs)
 
 

@@ -4,11 +4,13 @@ tests use.
 The package ships one implementation of each computation; the independent
 routes to the same numbers live here: the full 2^N Ising chain and its
 parity-sector projection beside ``build_ising_sector``, the two-pass dense
-Lanczos beside ``lanczos_full_orth``, the RK4 hopping-chain propagator
-beside the spectral amplitudes, the unchunked complexity curve beside
-``complexity_values``, the trapezoid time average beside the exact
-saturation, the paired-log-ratio dispersion beside ``sigma_moving``, and the
-``bincount`` product beside the sparse layout of ``Hamiltonian.matvec``.
+Lanczos beside ``lanczos_full_orth`` (and, run on diag(E) from a perturbed
+seed's exact eigenbasis coefficients, beside ``perturbed_chain``), the RK4
+hopping-chain propagator beside the spectral amplitudes, the unchunked
+complexity curve beside ``complexity_values``, the trapezoid time average
+beside the exact saturation, the paired-log-ratio dispersion beside
+``sigma_moving``, and the ``bincount`` product beside the sparse layout of
+``Hamiltonian.matvec``.
 The sweep-CSV and config-file readers are here too: only tests call them.
 """
 
@@ -18,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from kchaos.errors import NumericalError
-from kchaos.hamiltonians import MAX_SPINS, _as_hamiltonian, _reflect
+from kchaos.hamiltonians import MAX_SPINS, SpectralData, _as_hamiltonian, _reflect
 from kchaos.io import build_sweep_config, read_config_pairs
 from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
+from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import STAT_COLUMNS, SweepTable
 
 
@@ -162,6 +165,26 @@ def lanczos_reference(ham, psi0, spec):
         reorth_passes=passes,
         spec=spec,
     )
+
+
+def perturbed_reference(levels, j, profile, delta):
+    """``lanczos_reference`` on diag(E), seeded with the exact eigenbasis
+    coefficients of the perturbed state: the oracle for ``perturbed_chain``.
+
+    The run's spectrum has the identity as its eigenvector matrix, so its
+    basis columns are the Krylov vectors in eigen-coordinates and
+    ``saturation`` of it is c_bar with the exact eigenbasis weights.
+    """
+    levels = np.asarray(levels, dtype=float)
+    spec = SpectralData(
+        eigenvalues=levels,
+        eigenvectors=np.eye(levels.size),
+        min_spacing=float(np.min(np.diff(levels), initial=np.inf)),
+        near_degenerate=False,
+        degeneracy_tol=1e-10 * float(levels[-1] - levels[0]),
+    )
+    psi = perturbed_coefficients(levels.size, j, profile, delta)
+    return lanczos_reference(hamiltonian_from_matrix(np.diag(levels)), psi, spec)
 
 
 def assert_lanczos_structure(ham, spec, lan, expect_full=True):

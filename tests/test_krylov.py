@@ -5,7 +5,9 @@ import pytest
 
 from kchaos import (
     DegenerateSpectrumError,
+    GaussianProfile,
     NumericalError,
+    OrthogonalityLossError,
     UniformComplement,
     build_goe,
     build_ising_sector,
@@ -23,13 +25,16 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
-from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps
+from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps, _gram_residual, perturbed_chain
+from kchaos.perturbation import _complement_chain
+from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     assert_lanczos_structure,
     complexity_curve,
     hamiltonian_from_matrix,
     lanczos_reference,
+    perturbed_reference,
     tight_binding_propagate,
     time_average_complexity,
     tridiagonal,
@@ -265,6 +270,75 @@ class TestAgainstReference:
         assert lan.krylov_dim == 64
         projected = lan.basis.T @ ham.matrix @ lan.basis
         assert np.max(np.abs(projected - tridiagonal(lan))) <= 1e-12
+
+
+# admixture profiles for the chain of a perturbed eigenstate; at D=32 the
+# last one underflows to exact zeros from level 22 on, and the admixture's
+# own chain halts after a few steps
+CHASE_PROFILES = {
+    "uniform": lambda dim: UniformComplement(),
+    "gaussian": lambda dim: GaussianProfile(dim / 3, dim / 8 + 0.5),
+    "gaussian-underflow": lambda dim: GaussianProfile(0.0, 0.4),
+}
+
+
+def _chase(levels, j, profile, delta):
+    """perturbed_chain of one delta from the admixture chain the experiments run."""
+    ham = hamiltonian_from_matrix(np.diag(levels))
+    levels, tail = _complement_chain(ham, j, profile, allow_degenerate=False)
+    return tail, perturbed_chain(*tail, levels, j, delta)
+
+
+class TestPerturbedChain:
+    """The bulge chase against the two-pass oracle on diag(E), seeded with
+    the perturbed state's exact eigenbasis coefficients."""
+
+    @pytest.mark.parametrize("profile", list(CHASE_PROFILES))
+    @pytest.mark.parametrize("dim", [2, 3, 32])
+    def test_matches_reference(self, dim, profile):
+        levels = np.sort(np.random.default_rng(dim).standard_normal(dim))
+        tol = 1e-8 * (levels[-1] - levels[0])
+        for j in sorted({0, dim // 2, dim - 1}):
+            for delta in (0.0, 1e-3, 0.05, 0.5):
+                prof = CHASE_PROFILES[profile](dim)
+                tail, (a, b, rows) = _chase(levels, j, prof, delta)
+                ref = perturbed_reference(levels, j, prof, delta)
+                assert a.size == ref.krylov_dim == (1 if delta == 0.0 else tail[0].size + 1)
+                assert np.max(np.abs(a - ref.a)) <= tol
+                assert np.max(np.abs(b - ref.b), initial=0.0) <= tol
+                assert np.max(np.abs(rows - ref.basis.T)) <= 1e-8
+                weights = perturbed_coefficients(dim, j, prof, delta) ** 2
+                c_bar = np.arange(a.size) @ (rows**2 @ weights)
+                c_ref = saturation(ref).c_bar
+                assert abs(c_bar - c_ref) <= 1e-10 * abs(c_ref)
+
+    def test_underflowing_profile_halts_the_admixture_chain(self):
+        levels = np.sort(np.random.default_rng(32).standard_normal(32))
+        profile = CHASE_PROFILES["gaussian-underflow"](32)
+        assert np.count_nonzero(perturbed_coefficients(32, 5, profile, 1.0) == 0.0) > 0
+        tail, (a, _, _) = _chase(levels, 5, profile, 0.05)
+        assert tail[0].size < 10
+        assert a.size == tail[0].size + 1
+
+    def test_gram_check(self):
+        levels = np.sort(np.random.default_rng(32).standard_normal(32))
+        tail, _ = _chase(levels, 16, UniformComplement(), 0.05)
+        a, b, rows = tail
+        skewed = rows.copy()
+        skewed[3] += 1e-8 * skewed[2]
+        with pytest.raises(OrthogonalityLossError):
+            perturbed_chain(a, b, skewed, levels, 16, 0.05)
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 5])
+    def test_blocked_gram_residual(self, block_rows, monkeypatch):
+        # with 5 rows per block, rows 2 and 13 meet only across blocks
+        if block_rows is not None:
+            monkeypatch.setattr("kchaos.krylov.GRAM_BLOCK_BYTES", 8 * 32 * block_rows)
+        rows = np.linalg.qr(np.random.default_rng(4).standard_normal((32, 32)))[0]
+        rows[13] += 1e-8 * rows[2]
+        dense = np.max(np.abs(rows @ rows.T - np.eye(32)))
+        assert dense > 9e-9
+        assert _gram_residual(rows) == pytest.approx(dense, rel=1e-6)
 
 
 class TestAmplitudes:

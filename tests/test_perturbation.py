@@ -8,6 +8,7 @@ from kchaos import (
     UniformComplement,
     bound_rhs,
     build_goe,
+    build_ising_sector,
     eigendecompose,
     lanczos_full_orth,
     overlap_scaling_check,
@@ -15,6 +16,11 @@ from kchaos import (
     saturation,
     state_perturbed,
 )
+from kchaos.krylov import perturbed_chain
+from kchaos.perturbation import _complement_chain
+from kchaos.states import perturbed_coefficients
+from kchaos.sweeps import banded_hamiltonian
+from oracles import perturbed_reference
 
 
 class TestBoundRhs:
@@ -116,19 +122,62 @@ class TestOverlapScaling:
             )
 
 
+class TestAgainstMatrixBasis:
+    def test_uniform_banded_chain(self):
+        # the chain the experiments derive, against a Lanczos run on H itself
+        ham = banded_hamiltonian(256, 0.2, 0.125, 4)
+        spec = eigendecompose(ham)
+        j = 10
+        levels, tail = _complement_chain(ham, j, UniformComplement(), allow_degenerate=False)
+        tol = 1e-8 * spec.spectral_range
+        for delta in (1e-3, 0.05, 0.5):
+            a, b, rows = perturbed_chain(*tail, levels, j, delta)
+            psi = state_perturbed(spec, j, UniformComplement(), delta)
+            lan = lanczos_full_orth(ham, psi, spec)
+            assert a.size == lan.krylov_dim == 256
+            assert np.max(np.abs(a - lan.a)) <= tol
+            assert np.max(np.abs(b - lan.b)) <= tol
+            assert np.max(np.abs(spec.eigenvectors @ rows.T - lan.basis)) <= 1e-8
+            weights = perturbed_coefficients(256, j, UniformComplement(), delta) ** 2
+            c_bar = np.arange(a.size) @ (rows**2 @ weights)
+            assert c_bar == pytest.approx(saturation(lan).c_bar, rel=1e-10)
+
+
+def test_gaussian_ising_bound_sweep_matches_oracle():
+    # the README bound-sweep: its Gaussian coefficients fall to 2.6e-51, far
+    # below the error of the eigenvectors, so c_bar has to come from the exact
+    # eigenbasis coefficients; the matrix-basis chain read it up to 9.5% high
+    ham = build_ising_sector(9, 4.0, "even")
+    profile = GaussianProfile(61, 10.0)
+    deltas = np.geomspace(0.01, 0.5, 12)[[0, 5, 11]]
+    sweep = run_bound_sweep(ham, 10, profile, deltas)
+    levels = eigendecompose(ham).eigenvalues
+    for delta, c_bar in zip(deltas, sweep.c_bar):
+        c_ref = saturation(perturbed_reference(levels, 10, profile, delta)).c_bar
+        assert c_bar == pytest.approx(c_ref, rel=1e-10)
+
+
 def test_previous_krylov_basis_released(goe32, monkeypatch):
-    # each run allocates a D x D Krylov array; the previous run's must be gone
-    alive = []
+    # one admixture chain per experiment, released before the first delta;
+    # each delta's Krylov rows are released before the next delta's are formed
+    chains, rows_alive = [], []
 
     def run(*args, **kwargs):
-        assert all(ref() is None for ref in alive), "an earlier LanczosResult is still alive"
         lan = lanczos_full_orth(*args, **kwargs)
-        alive.append(weakref.ref(lan))
+        chains.append((weakref.ref(lan), weakref.ref(lan.basis.base)))
         return lan
 
+    def chase(*args, **kwargs):
+        refs = [ref for pair in chains + rows_alive for ref in pair]
+        assert all(ref() is None for ref in refs), "an earlier chain or delta's rows are alive"
+        result = perturbed_chain(*args, **kwargs)
+        rows_alive.append((weakref.ref(result[2]), weakref.ref(result[2].base)))
+        return result
+
     monkeypatch.setattr("kchaos.perturbation.lanczos_full_orth", run)
+    monkeypatch.setattr("kchaos.perturbation.perturbed_chain", chase)
     ham, _ = goe32
     run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.02, 0.05]))
-    alive.clear()
+    assert (len(chains), len(rows_alive)) == (1, 3)
     overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4))
-    assert len(alive) == 4
+    assert (len(chains), len(rows_alive)) == (2, 7)
