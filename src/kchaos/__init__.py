@@ -53,7 +53,6 @@ from .states import (
     select_center_states,
     state_all_up,
     state_eigenstate,
-    state_perturbed,
     state_random,
     state_uniform_eigenbasis,
 )

@@ -35,10 +35,6 @@ PRO_MIN_DIM = 400
 OMEGA_TOL = 1e-12
 # complexity_values takes times in blocks whose D x T complex phases fit in this many bytes
 BLOCK_BYTES = 64 * 2**20
-# perturbed_chain forms the Gram matrix of its rows in blocks of at most this
-# many bytes: the whole K x K matrix next to the rows set the process peak
-# past eigh's on banded D=1024
-GRAM_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -229,21 +225,6 @@ def lanczos_full_orth(
     )
 
 
-def _gram_residual(rows: np.ndarray) -> float:
-    """Largest deviation of the Gram matrix of real ``rows`` from the
-    identity, formed in row blocks of at most ``GRAM_BLOCK_BYTES``."""
-    k = rows.shape[0]
-    step = max(1, GRAM_BLOCK_BYTES // (8 * k))
-    resid = 0.0
-    for start in range(0, k, step):
-        # rows [start, start + step) against themselves and every later row
-        gram = rows[start : start + step] @ rows[start:].T
-        diag = np.arange(gram.shape[0])
-        gram[diag, diag] -= 1.0
-        resid = max(resid, float(np.max(np.abs(gram, out=gram))))
-    return resid
-
-
 def perturbed_chain(
     a: np.ndarray,
     b: np.ndarray,
@@ -268,8 +249,7 @@ def perturbed_chain(
     rotations of length D per step.  The chain halts, as
     ``lanczos_full_orth`` does, at the first off-diagonal coefficient below
     ``DEFAULT_B_TOL`` times the spectral range (times 1 when it is 0), and
-    the rotated rows pass the same Gram check against ``ORTHO_TOL``, made in
-    row blocks of ``GRAM_BLOCK_BYTES``.
+    the rotated rows pass the same Gram check against ``ORTHO_TOL``.
 
     Returns the K diagonal coefficients, the K-1 positive off-diagonal ones and
     the (K, D) Krylov rows, the first of which is the seed.
@@ -311,7 +291,9 @@ def perturbed_chain(
         out_a[-1] = p
         np.multiply(carry, c, out=out[-1])
     basis = out[:k]
-    ortho_resid = _gram_residual(basis)
+    gram = basis @ basis.T
+    gram.flat[:: k + 1] -= 1.0
+    ortho_resid = float(np.max(np.abs(gram, out=gram)))
     if ortho_resid > ORTHO_TOL:
         raise OrthogonalityLossError(
             f"Krylov basis orthogonality residual {ortho_resid:.3e} exceeds {ORTHO_TOL:.1e}"

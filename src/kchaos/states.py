@@ -126,17 +126,6 @@ def perturbed_coefficients(
     return coeffs
 
 
-def state_perturbed(
-    spec: SpectralData,
-    j: int,
-    tilde_profile: GaussianProfile | UniformComplement,
-    delta: float,
-) -> np.ndarray:
-    """The state of ``perturbed_coefficients`` in the basis of the matrix."""
-    coeffs = perturbed_coefficients(spec.dim, j, tilde_profile, delta)
-    return _make_state(spec.eigenvectors @ coeffs)
-
-
 def select_center_states(spec: SpectralData, count: int) -> list[int]:
     """Indices of the ``count`` eigenvalues closest to the median eigenvalue.
 

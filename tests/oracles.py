@@ -5,10 +5,11 @@ The package ships one implementation of each computation; the independent
 routes to the same numbers live here: the full 2^N Ising chain and its
 parity-sector projection beside ``build_ising_sector``, the two-pass dense
 Lanczos beside ``lanczos_full_orth`` (and, run on diag(E) from a perturbed
-seed's exact eigenbasis coefficients, beside ``perturbed_chain``), the RK4
-hopping-chain propagator beside the spectral amplitudes, the unchunked
-complexity curve beside ``complexity_values``, the trapezoid time average
-beside the exact saturation, the paired-log-ratio dispersion beside
+seed's exact eigenbasis coefficients, beside ``perturbed_chain``), the
+perturbed seed in the basis of the matrix beside the eigen-coordinate chain,
+the RK4 hopping-chain propagator beside the spectral amplitudes, the
+unchunked complexity curve beside ``complexity_values``, the trapezoid time
+average beside the exact saturation, the paired-log-ratio dispersion beside
 ``sigma_moving``, and the ``bincount`` product beside the sparse layout of
 ``Hamiltonian.matvec``.
 The sweep-CSV and config-file readers are here too: only tests call them.
@@ -23,7 +24,7 @@ from kchaos.errors import NumericalError
 from kchaos.hamiltonians import MAX_SPINS, SpectralData, _as_hamiltonian, _reflect
 from kchaos.io import build_sweep_config, read_config_pairs
 from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
-from kchaos.states import perturbed_coefficients
+from kchaos.states import _make_state, perturbed_coefficients
 from kchaos.sweeps import STAT_COLUMNS, SweepTable
 
 
@@ -165,6 +166,13 @@ def lanczos_reference(ham, psi0, spec):
         reorth_passes=passes,
         spec=spec,
     )
+
+
+def state_perturbed(spec, j, profile, delta):
+    """The perturbed state of ``perturbed_coefficients`` rotated into the basis
+    of the matrix: the seed of the matrix-basis route that the package's
+    eigen-coordinate chain is checked against."""
+    return _make_state(spec.eigenvectors @ perturbed_coefficients(spec.dim, j, profile, delta))
 
 
 def perturbed_reference(levels, j, profile, delta):

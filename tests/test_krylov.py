@@ -21,11 +21,10 @@ from kchaos import (
     state_all_up,
     select_center_states,
     state_eigenstate,
-    state_perturbed,
     state_random,
     state_uniform_eigenbasis,
 )
-from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps, _gram_residual, perturbed_chain
+from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps, perturbed_chain
 from kchaos.perturbation import _complement_chain
 from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
@@ -35,6 +34,7 @@ from oracles import (
     hamiltonian_from_matrix,
     lanczos_reference,
     perturbed_reference,
+    state_perturbed,
     tight_binding_propagate,
     time_average_complexity,
     tridiagonal,
@@ -328,17 +328,6 @@ class TestPerturbedChain:
         skewed[3] += 1e-8 * skewed[2]
         with pytest.raises(OrthogonalityLossError):
             perturbed_chain(a, b, skewed, levels, 16, 0.05)
-
-    @pytest.mark.parametrize("block_rows", [None, 1, 5])
-    def test_blocked_gram_residual(self, block_rows, monkeypatch):
-        # with 5 rows per block, rows 2 and 13 meet only across blocks
-        if block_rows is not None:
-            monkeypatch.setattr("kchaos.krylov.GRAM_BLOCK_BYTES", 8 * 32 * block_rows)
-        rows = np.linalg.qr(np.random.default_rng(4).standard_normal((32, 32)))[0]
-        rows[13] += 1e-8 * rows[2]
-        dense = np.max(np.abs(rows @ rows.T - np.eye(32)))
-        assert dense > 9e-9
-        assert _gram_residual(rows) == pytest.approx(dense, rel=1e-6)
 
 
 class TestAmplitudes:

@@ -14,13 +14,12 @@ from kchaos import (
     overlap_scaling_check,
     run_bound_sweep,
     saturation,
-    state_perturbed,
 )
 from kchaos.krylov import perturbed_chain
 from kchaos.perturbation import _complement_chain
 from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
-from oracles import perturbed_reference
+from oracles import perturbed_reference, state_perturbed
 
 
 class TestBoundRhs:

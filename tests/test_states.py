@@ -12,11 +12,10 @@ from kchaos import (
     select_center_states,
     state_all_up,
     state_eigenstate,
-    state_perturbed,
     state_random,
     state_uniform_eigenbasis,
 )
-from oracles import embed, energy_coefficients, hamiltonian_from_matrix
+from oracles import embed, energy_coefficients, hamiltonian_from_matrix, state_perturbed
 
 
 class TestAllUp:
