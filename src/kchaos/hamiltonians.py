@@ -3,8 +3,9 @@
 Two families are provided: an open Ising chain with a tilted magnetic field
 (restricted to a reflection-parity sector) and a banded random-matrix model
 interpolating between Poisson and GOE level statistics.  Every matrix is real
-symmetric and stored dense, applied through its band or its nonzeros; the full
-eigenbasis is required downstream, so matrices are diagonalized directly.
+symmetric and stored dense, applied through its band or its nonzeros.  The
+Lanczos runs need the full eigenbasis, so matrices are diagonalized directly;
+callers that read only the levels solve for the eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -115,11 +116,12 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Full eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix.
 
     ``eigenvalues`` are ascending; column ``i`` of ``eigenvectors`` belongs to
-    ``eigenvalues[i]``.  ``near_degenerate`` is set when the minimum level
-    spacing falls below ``degeneracy_tol``.
+    ``eigenvalues[i]``, and the array has no columns when only the
+    eigenvalues were solved for.  ``near_degenerate`` is set when the minimum
+    level spacing falls below ``degeneracy_tol``.
     """
 
     eigenvalues: np.ndarray
@@ -249,14 +251,20 @@ def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
 
 
 def _draw_banded_symmetric(dim: int, bandwidth: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix, diagonal ~ N(0,2), entries with 0 < |i-j| <= b ~ N(0,1)."""
+    """Symmetric matrix, diagonal ~ N(0,2), entries with 0 < |i-j| <= b ~ N(0,1).
+
+    Diagonal ``off`` of a C-ordered D x D matrix is every (D+1)-th entry of
+    its flat view, from ``off`` (upper) or ``off * D`` (lower), so each band is
+    written through basic slices of ``v.ravel()``.  ``v.flat[...]`` would not
+    do: its slices are copies.
+    """
     v = np.zeros((dim, dim))
-    v[np.arange(dim), np.arange(dim)] = rng.standard_normal(dim) * np.sqrt(2.0)
+    flat = v.ravel()
+    flat[:: dim + 1] = rng.standard_normal(dim) * np.sqrt(2.0)
     for off in range(1, bandwidth + 1):
         band = rng.standard_normal(dim - off)
-        rows = np.arange(dim - off)
-        v[rows, rows + off] = band
-        v[rows + off, rows] = band
+        flat[off :: dim + 1][: dim - off] = band
+        flat[off * dim :: dim + 1] = band
     return v
 
 
@@ -279,8 +287,17 @@ def build_banded_random(dim: int, bandwidth: int, k: float, seed: int) -> Hamilt
         raise ValueError("k must be >= 0")
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(dim)
-    v = _draw_banded_symmetric(dim, bandwidth, rng)
-    h = (np.diag(h0) + k * v) / np.sqrt(1.0 + k * k)
+    h = _draw_banded_symmetric(dim, bandwidth, rng)
+    # (diag(H0) + k V) / sqrt(1 + k^2) formed in place on V, bit for bit: the
+    # products, the diagonal sums and the quotients are the same operations.
+    # Off the diagonal the sum adds +0.0, which only changes a -0.0, and k V
+    # holds one only when k = 0 (or underflows), so k = 0 clears V instead.
+    if k == 0.0:
+        h.fill(0.0)
+    else:
+        h *= k
+    h.ravel()[:: dim + 1] += h0
+    h /= np.sqrt(1.0 + k * k)
     return _as_hamiltonian(
         h,
         {
@@ -303,17 +320,8 @@ def build_goe(dim: int, seed: int) -> Hamiltonian:
     return _as_hamiltonian(h, {"family": "goe", "dim": dim, "seed": int(seed)})
 
 
-def eigendecompose(ham: Hamiltonian) -> SpectralData:
-    """Dense symmetric eigendecomposition with near-degeneracy detection.
-
-    ``degeneracy_tol`` is 1e-10 times the spectral range; a minimum level
-    spacing below it sets the ``near_degenerate`` flag, which makes
-    downstream Lanczos runs refuse the spectrum unless overridden.
-    """
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(ham.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+def _spectral_data(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> SpectralData:
+    """Wrap an ascending spectrum read-only, with its degeneracy verdict."""
     spacings = np.diff(eigenvalues)
     min_spacing = float(spacings.min()) if spacings.size else np.inf
     degeneracy_tol = 1e-10 * float(eigenvalues[-1] - eigenvalues[0])
@@ -326,3 +334,25 @@ def eigendecompose(ham: Hamiltonian) -> SpectralData:
         near_degenerate=bool(min_spacing < degeneracy_tol),
         degeneracy_tol=float(degeneracy_tol),
     )
+
+
+def eigendecompose(ham: Hamiltonian, vectors: bool = True) -> SpectralData:
+    """Dense symmetric eigendecomposition with near-degeneracy detection.
+
+    ``degeneracy_tol`` is 1e-10 times the spectral range; a minimum level
+    spacing below it sets the ``near_degenerate`` flag, which makes
+    downstream Lanczos runs refuse the spectrum unless overridden.
+
+    ``vectors=False`` solves for the eigenvalues alone (``eigvalsh``), with
+    the same verdict and an empty (D, 0) eigenvector array: no D x D
+    eigenvector matrix and no 2 D^2 divide-and-conquer workspace, in about
+    half the time of the full solve.
+    """
+    try:
+        if vectors:
+            eigenvalues, eigenvectors = np.linalg.eigh(ham.matrix)
+        else:
+            eigenvalues, eigenvectors = np.linalg.eigvalsh(ham.matrix), np.empty((ham.dim, 0))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    return _spectral_data(eigenvalues, eigenvectors)

@@ -87,12 +87,11 @@ def _complement_chain(
     gated with the degeneracy verdict of the whole spectrum.
     """
     _check_anchor(j, ham.dim)
-    spec = eigendecompose(ham)
+    # the chain reads no eigenvector matrix, so none is solved for
+    spec = eigendecompose(ham, vectors=False)
     levels = spec.eigenvalues
     rest = np.delete(levels, j)
-    # the chain reads no eigenvector matrix, so the D x D one goes now
     rest_spec = replace(spec, eigenvalues=rest, eigenvectors=np.empty((rest.size, 0)))
-    del spec
     # off level j, every seed's coefficients are proportional to those of |t>
     seed = np.delete(perturbed_coefficients(levels.size, j, profile, 1.0), j)
     seed /= np.linalg.norm(seed)
@@ -101,6 +100,30 @@ def _complement_chain(
     )
     rows = np.insert(tail.basis.T, j, 0.0, axis=1)
     return levels, (tail.a, tail.b, rows)
+
+
+def _fit_sites(deltas: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-log slope and f_n of every column of ``overlaps`` (one row per delta).
+
+    Each column is fitted on its overlaps above ``OVERLAP_FLOOR``: the slope
+    is the least-squares slope of log overlap against log delta, and f_n the
+    geometric mean of overlap / delta^2.  All columns are fitted at once in
+    closed form, from the kept points' centred sums; a column with fewer than
+    two kept points gets nan for both.
+    """
+    keep = overlaps > OVERLAP_FLOOR  # nan compares False
+    count = keep.sum(axis=0)
+    log_d = np.log(deltas)[:, None]
+    log_o = np.log(np.where(keep, overlaps, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_d = (keep * log_d).sum(axis=0) / count
+        mean_o = (keep * log_o).sum(axis=0) / count
+        dx = np.where(keep, log_d - mean_d, 0.0)
+        slopes = (dx * (log_o - mean_o)).sum(axis=0) / (dx * dx).sum(axis=0)
+    fitted = count >= 2
+    slopes = np.where(fitted, slopes, np.nan)
+    f_intercepts = np.where(fitted, np.exp(mean_o - 2.0 * mean_d), np.nan)
+    return slopes, f_intercepts
 
 
 def bound_rhs(dim: int, delta: float) -> float:
@@ -165,14 +188,17 @@ def overlap_scaling_check(
     admixture and the overlap with the anchored eigenstate, column j of its
     rows in eigen-coordinates, recorded; a least-squares fit of log overlap
     against log delta should give slope 2 site by site.  The quadratic
-    coefficients f_n are recovered as geometric means of overlap/delta^2.  A
-    near-degenerate spectrum is refused (DegenerateSpectrumError).
+    coefficients f_n are recovered as geometric means of overlap/delta^2.  The
+    grid may run either way but may not repeat a value.  A near-degenerate
+    spectrum is refused (DegenerateSpectrumError).
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.size < 4:
         raise ValueError("need at least 4 grid points for a credible fit")
     if not np.all((delta_grid > 0) & (delta_grid <= 0.05)):  # rejects nan too
         raise ValueError("delta grid must lie in (0, 0.05]")
+    if delta_grid.ndim != 1 or np.unique(delta_grid).size != delta_grid.size:
+        raise ValueError(f"delta grid must be 1-D without repeated values, got {delta_grid}")
     levels, tail = _complement_chain(ham, j, profile, allow_degenerate=False)
     overlaps = np.full((delta_grid.shape[0], ham.dim), np.nan)
     k_min = ham.dim
@@ -181,15 +207,5 @@ def overlap_scaling_check(
         k_min = min(k_min, rows.shape[0])
         overlaps[i, : rows.shape[0]] = rows[:, j] ** 2
         del rows
-    n_values = np.arange(1, k_min)
-    slopes = np.full(n_values.shape[0], np.nan)
-    f_intercepts = np.full(n_values.shape[0], np.nan)
-    log_d = np.log(delta_grid)
-    for pos, n in enumerate(n_values):
-        o = overlaps[:, n]
-        keep = o > OVERLAP_FLOOR
-        if keep.sum() < 2:
-            continue
-        slopes[pos] = np.polyfit(log_d[keep], np.log(o[keep]), 1)[0]
-        f_intercepts[pos] = np.exp(np.mean(np.log(o[keep]) - 2.0 * log_d[keep]))
-    return ScalingReport(n_values=n_values, slopes=slopes, f_intercepts=f_intercepts)
+    slopes, f_intercepts = _fit_sites(delta_grid, overlaps[:, 1:k_min])
+    return ScalingReport(n_values=np.arange(1, k_min), slopes=slopes, f_intercepts=f_intercepts)

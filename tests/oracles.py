@@ -3,7 +3,9 @@ tests use.
 
 The package ships one implementation of each computation; the independent
 routes to the same numbers live here: the full 2^N Ising chain and its
-parity-sector projection beside ``build_ising_sector``, the two-pass dense
+parity-sector projection beside ``build_ising_sector``, the whole-matrix
+banded sum beside the in-place ``build_banded_random``, the per-site
+``np.polyfit`` loop beside the one-shot overlap fit, the two-pass dense
 Lanczos beside ``lanczos_full_orth`` (and, run on diag(E) from a perturbed
 seed's exact eigenbasis coefficients, beside ``perturbed_chain``), the
 perturbed seed in the basis of the matrix beside the eigen-coordinate chain,
@@ -166,6 +168,40 @@ def lanczos_reference(ham, psi0, spec):
         reorth_passes=passes,
         spec=spec,
     )
+
+
+def banded_reference(dim, bandwidth, k, seed):
+    """The banded random matrix (diag(H0) + k V) / sqrt(1 + k^2) from the same
+    draws as ``build_banded_random``, with V filled by fancy indexing and the
+    sum formed from whole matrices: the oracle the in-place build must match
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    h0 = rng.standard_normal(dim)
+    v = np.zeros((dim, dim))
+    v[np.arange(dim), np.arange(dim)] = rng.standard_normal(dim) * np.sqrt(2.0)
+    for off in range(1, bandwidth + 1):
+        band = rng.standard_normal(dim - off)
+        rows = np.arange(dim - off)
+        v[rows, rows + off] = band
+        v[rows + off, rows] = band
+    return (np.diag(h0) + k * v) / np.sqrt(1.0 + k * k)
+
+
+def fit_sites_reference(deltas, overlaps, floor):
+    """One ``np.polyfit`` per column of ``overlaps`` (one row per delta) on its
+    overlaps above ``floor``: the oracle for ``perturbation._fit_sites``.
+    Columns with fewer than two such overlaps get nan slope and f_n."""
+    log_d = np.log(deltas)
+    slopes = np.full(overlaps.shape[1], np.nan)
+    f_intercepts = np.full(overlaps.shape[1], np.nan)
+    for n in range(overlaps.shape[1]):
+        o = overlaps[:, n]
+        keep = o > floor
+        if keep.sum() < 2:
+            continue
+        slopes[n] = np.polyfit(log_d[keep], np.log(o[keep]), 1)[0]
+        f_intercepts[n] = np.exp(np.mean(np.log(o[keep]) - 2.0 * log_d[keep]))
+    return slopes, f_intercepts
 
 
 def state_perturbed(spec, j, profile, delta):

@@ -14,6 +14,7 @@ from kchaos.hamiltonians import BAND_ROWS, _band_product
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     bincount_matvec,
+    banded_reference,
     build_ising_full,
     dense_matrix,
     hamiltonian_from_matrix,
@@ -228,6 +229,16 @@ class TestBandedRandom:
         with pytest.raises(ValueError):
             build_banded_random(16, 16, 1.0, 0)
 
+    @pytest.mark.parametrize("k", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("dim", [2, 3, 64, 300])
+    def test_matches_whole_matrix_oracle_bit_for_bit(self, dim, k):
+        # the in-place build against the sum of whole matrices; comparing the
+        # bit patterns also tells +0.0 from -0.0, which k = 0 would produce
+        for bandwidth in (1, dim - 1):
+            ham = build_banded_random(dim, bandwidth, k, 11)
+            ref = banded_reference(dim, bandwidth, k, 11)
+            assert np.array_equal(ham.matrix.view(np.uint64), ref.view(np.uint64))
+
     def test_reference_configuration(self):
         ham = build_banded_random(1024, 204, 0.5, 0)
         assert ham.dim == 1024
@@ -270,6 +281,31 @@ class TestEigendecompose:
             resid = ham.matrix @ v - v * spec.eigenvalues[None, :]
             assert np.max(np.abs(resid)) <= 1e-8 * spec.spectral_range
             assert np.all(np.diff(spec.eigenvalues) >= 0)
+
+    @pytest.mark.parametrize(
+        "ham",
+        [
+            build_goe(128, 3),
+            build_banded_random(200, 20, 0.3, 5),
+            hamiltonian_from_matrix(np.diag([0.0, 1.0, 1.0 + 1e-13, 2.0, 3.0])),
+        ],
+        ids=["goe", "banded", "degenerate-diagonal"],
+    )
+    def test_eigenvalue_only_verdict_matches(self, ham):
+        full = eigendecompose(ham)
+        levels = eigendecompose(ham, vectors=False)
+        assert levels.eigenvectors.shape == (ham.dim, 0)
+        assert not levels.eigenvalues.flags.writeable
+        assert levels.near_degenerate == full.near_degenerate
+        assert levels.degeneracy_tol == pytest.approx(full.degeneracy_tol, rel=1e-12)
+        scale = full.spectral_range
+        assert abs(levels.min_spacing - full.min_spacing) <= 1e-12 * scale
+        assert np.max(np.abs(levels.eigenvalues - full.eigenvalues)) <= 1e-12 * scale
+
+    def test_degenerate_diagonal_is_flagged_without_vectors(self):
+        spec = eigendecompose(hamiltonian_from_matrix(np.diag([1.0, 1.0, 2.0])), vectors=False)
+        assert spec.near_degenerate
+        assert spec.min_spacing == 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

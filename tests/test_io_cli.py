@@ -37,7 +37,7 @@ def tiny_sweep():
     return run_ising_sweep(cfg)
 
 
-def _eigh_must_not_run(ham):
+def _eigh_must_not_run(ham, **kwargs):
     raise AssertionError("eigendecomposition ran before the input was checked")
 
 
@@ -393,8 +393,8 @@ class TestCli:
         # scaling-check has no --allow-degenerate, so the message names no flag
         real_eigendecompose = kchaos.perturbation.eigendecompose
 
-        def always_degenerate(ham):
-            return dataclasses.replace(real_eigendecompose(ham), near_degenerate=True)
+        def always_degenerate(ham, **kwargs):
+            return dataclasses.replace(real_eigendecompose(ham, **kwargs), near_degenerate=True)
 
         monkeypatch.setattr(kchaos.perturbation, "eigendecompose", always_degenerate)
         assert main(["scaling-check", "--dim", "16", "--out", str(tmp_path)]) == 2
@@ -580,6 +580,11 @@ class TestCli:
                 ["scaling-check", "--dim", "16", "--delta-min", "nan"],
                 "delta grid must lie in (0, 0.05]",
             ),
+            # a repeated grid would give each site no slope to fit
+            (
+                ["scaling-check", "--dim", "32", "--delta-min", "0.01", "--delta-max", "0.01"],
+                "delta grid must be 1-D without repeated values, got [0.01 0.01",
+            ),
             (
                 ["ising-sweep", "--config", "odd-all-up.cfg"],
                 "the all_up family needs sector = even",
@@ -679,6 +684,7 @@ class TestCli:
             "sigma-0",
             "deltas-nan",
             "scaling-delta-nan",
+            "scaling-delta-repeated",
             "all-up-odd-sector-config",
             "values-and-bounds-config",
             "negative-k-config",

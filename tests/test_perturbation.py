@@ -16,10 +16,10 @@ from kchaos import (
     saturation,
 )
 from kchaos.krylov import perturbed_chain
-from kchaos.perturbation import _complement_chain
+from kchaos.perturbation import OVERLAP_FLOOR, _complement_chain, _fit_sites
 from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
-from oracles import perturbed_reference, state_perturbed
+from oracles import fit_sites_reference, perturbed_reference, state_perturbed
 
 
 class TestBoundRhs:
@@ -119,6 +119,59 @@ class TestOverlapScaling:
             overlap_scaling_check(
                 ham, 3, UniformComplement(), np.array([0.01, 0.02, 0.05, 0.2])
             )
+        for grid in (np.full(6, 0.01), np.array([0.01, 0.02, 0.02, 0.03, 0.04])):
+            with pytest.raises(ValueError, match=r"without repeated values, got \[0.01 "):
+                overlap_scaling_check(ham, 3, UniformComplement(), grid)
+        with pytest.raises(ValueError, match="1-D"):
+            overlap_scaling_check(ham, 3, UniformComplement(), np.full((2, 3), 0.01))
+
+    def test_decreasing_grid_fits_like_increasing(self, goe32):
+        ham, _ = goe32
+        grid = np.geomspace(0.005, 0.05, 6)
+        up = overlap_scaling_check(ham, 16, UniformComplement(), grid)
+        down = overlap_scaling_check(ham, 16, UniformComplement(), grid[::-1])
+        assert np.allclose(down.slopes, up.slopes, rtol=1e-12, atol=0.0, equal_nan=True)
+        assert np.allclose(down.f_intercepts, up.f_intercepts, rtol=1e-12, atol=0.0)
+
+
+def test_fit_sites_matches_polyfit_oracle():
+    # every site fitted at once against one np.polyfit per site: sites with
+    # overlaps below the floor, sites left with one or no kept point (nan),
+    # and sites whose overlaps end before the last delta (nan rows)
+    rng = np.random.default_rng(4)
+    deltas = np.geomspace(0.005, 0.05, 6)
+    f = rng.uniform(0.1, 3.0, 200)
+    overlaps = f * deltas[:, None] ** rng.uniform(1.5, 2.5, 200) * rng.uniform(0.8, 1.2, (6, 200))
+    overlaps[:3, 0:20] = 1e-18  # three points kept
+    overlaps[:5, 20:30] = 1e-16  # one point kept
+    overlaps[:, 30:35] = 5e-15  # none kept
+    overlaps[2:, 35:45] = np.nan  # two points kept
+    overlaps[1:, 45:50] = np.nan  # one point kept
+    overlaps[:, 50] = OVERLAP_FLOOR  # on the floor: not kept
+    slopes, f_n = _fit_sites(deltas, overlaps)
+    ref_slopes, ref_f = fit_sites_reference(deltas, overlaps, OVERLAP_FLOOR)
+    unfitted = np.r_[20:35, 45:51]
+    assert np.all(np.isnan(slopes[unfitted])) and np.all(np.isnan(f_n[unfitted]))
+    assert np.array_equal(np.isnan(slopes), np.isnan(ref_slopes))
+    assert np.array_equal(np.isnan(f_n), np.isnan(ref_f))
+    fitted = ~np.isnan(ref_slopes)
+    assert np.max(np.abs(slopes[fitted] - ref_slopes[fitted])) <= 1e-12
+    assert np.max(np.abs(f_n[fitted] - ref_f[fitted]) / ref_f[fitted]) <= 1e-12
+
+
+def test_experiments_solve_for_eigenvalues_only(goe32, monkeypatch):
+    # the chains read only the levels, so no eigenvector solve may run
+    def eigh_must_not_run(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh ran")
+
+    ham, _ = goe32
+    grid = np.geomspace(0.005, 0.05, 6)
+    expected = overlap_scaling_check(ham, 16, UniformComplement(), grid)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_must_not_run)
+    sweep = run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.05]))
+    assert np.all(sweep.c_bar <= sweep.bound)
+    report = overlap_scaling_check(ham, 16, UniformComplement(), grid)
+    assert np.array_equal(report.slopes, expected.slopes, equal_nan=True)
 
 
 class TestAgainstMatrixBasis:
