@@ -253,10 +253,9 @@ def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
 def _draw_banded_symmetric(dim: int, bandwidth: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix, diagonal ~ N(0,2), entries with 0 < |i-j| <= b ~ N(0,1).
 
-    Diagonal ``off`` of a C-ordered D x D matrix is every (D+1)-th entry of
-    its flat view, from ``off`` (upper) or ``off * D`` (lower), so each band is
-    written through basic slices of ``v.ravel()``.  ``v.flat[...]`` would not
-    do: its slices are copies.
+    Diagonal ``off`` is every (D+1)-th entry of the flat matrix from ``off``
+    (upper) or ``off * D`` (lower).  The bands are written through views of
+    ``v.ravel()``; slices of ``v.flat`` are copies and would drop the writes.
     """
     v = np.zeros((dim, dim))
     flat = v.ravel()
@@ -288,10 +287,9 @@ def build_banded_random(dim: int, bandwidth: int, k: float, seed: int) -> Hamilt
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(dim)
     h = _draw_banded_symmetric(dim, bandwidth, rng)
-    # (diag(H0) + k V) / sqrt(1 + k^2) formed in place on V, bit for bit: the
-    # products, the diagonal sums and the quotients are the same operations.
-    # Off the diagonal the sum adds +0.0, which only changes a -0.0, and k V
-    # holds one only when k = 0 (or underflows), so k = 0 clears V instead.
+    # (diag(H0) + k V) / sqrt(1 + k^2) in place on V, bit for bit: the same
+    # products, sums and quotients.  Off the diagonal the sum's +0.0 only
+    # turns k V's -0.0 (k = 0 times a negative entry) into +0.0, hence fill.
     if k == 0.0:
         h.fill(0.0)
     else:
@@ -345,8 +343,7 @@ def eigendecompose(ham: Hamiltonian, vectors: bool = True) -> SpectralData:
 
     ``vectors=False`` solves for the eigenvalues alone (``eigvalsh``), with
     the same verdict and an empty (D, 0) eigenvector array: no D x D
-    eigenvector matrix and no 2 D^2 divide-and-conquer workspace, in about
-    half the time of the full solve.
+    eigenvectors, no 2 D^2 workspace, about half the time of ``eigh``.
     """
     try:
         if vectors:
