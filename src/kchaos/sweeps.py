@@ -266,7 +266,9 @@ def _ising_eta_levels(cfg: SweepConfig, h_z: float) -> list[np.ndarray] | None:
     """Levels of the n_eta chain at ``h_z``; None when it is the sweep's own chain."""
     if cfg.n_eta == cfg.n_spins:
         return None
-    return [np.linalg.eigvalsh(build_ising_sector(cfg.n_eta, h_z, cfg.sector).matrix)]
+    # eta reads the levels alone; the degeneracy verdict never gates or skips the point
+    ham = build_ising_sector(cfg.n_eta, h_z, cfg.sector)
+    return [eigendecompose(ham, vectors=False).eigenvalues]
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,12 @@ def lanczos_reference(ham, psi0, spec):
     )
 
 
+def gram_residual_reference(rows):
+    """max |R R^H - I| of the rows R over the whole K x K Gram matrix."""
+    gram = rows.conj() @ rows.T
+    return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
+
+
 def banded_reference(dim, bandwidth, k, seed):
     """The banded random matrix (diag(H0) + k V) / sqrt(1 + k^2) from the same
     draws as ``build_banded_random``, with V filled by fancy indexing and the

@@ -10,7 +10,7 @@ from kchaos import (
     eigendecompose,
     parity_basis,
 )
-from kchaos.hamiltonians import BAND_ROWS, _band_product
+from kchaos.hamiltonians import BAND_ROWS, _asymmetry, _band_product
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     banded_reference,
@@ -239,6 +239,17 @@ class TestBandedRandom:
             ref = banded_reference(dim, bandwidth, k, 11)
             assert np.array_equal(ham.matrix.view(np.uint64), ref.view(np.uint64))
 
+    def test_build_holds_no_second_square_array(self):
+        # H itself is 8 D^2 bytes; the symmetry check reads it in row blocks
+        dim = 1024
+        tracemalloc.start()
+        try:
+            build_banded_random(dim, 205, 0.125, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * dim**2
+
     def test_reference_configuration(self):
         ham = build_banded_random(1024, 204, 0.5, 0)
         assert ham.dim == 1024
@@ -307,6 +318,22 @@ class TestEigendecompose:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             hamiltonian_from_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 30])
+    def test_blocked_asymmetry_matches_whole_matrix(self, dim, monkeypatch):
+        # blocks of 8 rows at D = 8, 2 at D = 30; the upper triangle is skewed
+        # by up to 1e-13 and the pair (0, D-1), first block against last, by 3e-12
+        monkeypatch.setattr("kchaos.hamiltonians.SYMMETRY_BLOCK_BYTES", 8 * 8 * 8)
+        rng = np.random.default_rng(dim)
+        m = rng.standard_normal((dim, dim))
+        m = m + m.T + 1e-13 * np.triu(rng.random((dim, dim)), 1)
+        if dim > 1:
+            m[-1, 0] += 3e-12
+        whole = float(np.max(np.abs(m - m.T))) if dim else 0.0
+        assert _asymmetry(m) == whole
+        if dim > 1:
+            with pytest.raises(ValueError, match=f"max .H - H.T. = {whole:.3e}"):
+                hamiltonian_from_matrix(m)
 
     def test_wrapping_leaves_caller_array_writable(self):
         m = np.diag([1.0, 2.0])

@@ -389,6 +389,19 @@ class TestCli:
         assert main(argv + ["--allow-degenerate", "--out", str(tmp_path / "allowed")]) == 0
         assert (tmp_path / "allowed" / csv).exists()
 
+    def test_eta_solver_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the --n-eta levels come from eigendecompose, which turns a solver
+        # failure into a NumericalError; the sweep's own spectra use eigh
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        argv = ["ising-sweep", "--n-spins", "4", "--n-eta", "6", "--hz-min", "0.5"]
+        argv += ["--hz-max", "2", "--hz-points", "2", "--families", "all_up,uniform"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "eigensolver failed to converge" in capsys.readouterr().err
+        assert not (tmp_path / "ising_sweep.csv").exists()
+
     def test_scaling_check_degeneracy_keeps_library_text(self, tmp_path, capsys, monkeypatch):
         # scaling-check has no --allow-degenerate, so the message names no flag
         real_eigendecompose = kchaos.perturbation.eigendecompose

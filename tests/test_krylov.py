@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,13 +26,14 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
-from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps, perturbed_chain
+from kchaos.krylov import PRO_MIN_DIM, _eigen_overlaps, _gram_residual, perturbed_chain
 from kchaos.perturbation import _complement_chain
 from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     assert_lanczos_structure,
     complexity_curve,
+    gram_residual_reference,
     hamiltonian_from_matrix,
     lanczos_reference,
     perturbed_reference,
@@ -328,6 +331,82 @@ class TestPerturbedChain:
         skewed[3] += 1e-8 * skewed[2]
         with pytest.raises(OrthogonalityLossError):
             perturbed_chain(a, b, skewed, levels, 16, 0.05)
+
+
+# a Gram slice budget of 16 x 16 real entries: 16 real or 11 complex rows per block
+SMALL_GRAM_BYTES = 16 * 16 * 8
+
+
+def _near_orthonormal(k, dim, dtype, seed, noise=1e-6):
+    """k orthonormal rows of length dim, each entry perturbed by about ``noise``."""
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal((dim, dim))
+    shift = rng.standard_normal((k, dim))
+    if dtype is complex:
+        draw = draw + 1j * rng.standard_normal((dim, dim))
+        shift = shift + 1j * rng.standard_normal((k, dim))
+    q = np.linalg.qr(draw)[0].T[:k]
+    return np.ascontiguousarray(q + noise * shift)
+
+
+class TestGramResidual:
+    """The row-blocked Gram check against the whole K x K Gram matrix."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_whole_matrix(self, dtype, monkeypatch):
+        monkeypatch.setattr("kchaos.krylov.GRAM_BLOCK_BYTES", SMALL_GRAM_BYTES)
+        itemsize = np.dtype(dtype).itemsize
+        one = math.isqrt(SMALL_GRAM_BYTES // itemsize)  # the most rows one block holds
+        assert SMALL_GRAM_BYTES // (itemsize * one) >= one
+        assert SMALL_GRAM_BYTES // (itemsize * (one + 1)) < one + 1
+        for k in (1, one - 1, one, one + 1, 4 * one + 3):
+            rows = _near_orthonormal(k, 4 * one + 5, dtype, k)
+            ref = gram_residual_reference(rows)
+            assert ref > 1e-8  # far above roundoff, so 1e-15 is a real test
+            assert abs(_gram_residual(rows) - ref) <= 1e-15
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_defect_between_first_and_last_block(self, dtype, monkeypatch):
+        monkeypatch.setattr("kchaos.krylov.GRAM_BLOCK_BYTES", SMALL_GRAM_BYTES)
+        rows = _near_orthonormal(50, 64, dtype, 5, noise=0.0)
+        assert _gram_residual(rows) < 1e-13
+        rows[-1] += 1e-8 * rows[0]
+        assert _gram_residual(rows) == pytest.approx(1e-8, rel=1e-6)
+
+    def test_lanczos_raises_on_a_defect_across_blocks(self, monkeypatch):
+        # 32 rows in blocks of 10: the last Krylov row, skewed in place by
+        # 1e-8 of the seed after its last projection, meets row 0 only in
+        # the first block's slice
+        monkeypatch.setattr("kchaos.krylov.GRAM_BLOCK_BYTES", 8 * 32 * 10)
+        ham = build_goe(32, 3)
+        spec = eigendecompose(ham)
+        psi = state_random(32, 2)
+        assert lanczos_full_orth(ham, psi, spec).ortho_residual < 1e-13
+        calls = []
+
+        def skewing(x):
+            calls.append(None)
+            if len(calls) == 32:  # x is the last Krylov row itself
+                x += 1e-8 * psi
+            return ham.matrix @ x
+
+        skewed = SimpleNamespace(dim=32, matvec=skewing)
+        with pytest.raises(OrthogonalityLossError):
+            lanczos_full_orth(skewed, psi, spec)
+        assert len(calls) == 32
+
+    def test_perturbed_chain_raises_on_a_defect_across_blocks(self, monkeypatch):
+        # the admixture's last row, skewed by 1e-8 of its first, is rotated
+        # into the last rows of the chain, in another block than row 0
+        monkeypatch.setattr("kchaos.krylov.GRAM_BLOCK_BYTES", 8 * 32 * 10)
+        levels = np.sort(np.random.default_rng(32).standard_normal(32))
+        tail, _ = _chase(levels, 16, UniformComplement(), 0.05)
+        a, b, rows = tail
+        assert perturbed_chain(a, b, rows, levels, 16, 0.5)[2].shape[0] == 32
+        skewed = rows.copy()
+        skewed[-1] += 1e-8 * skewed[0]
+        with pytest.raises(OrthogonalityLossError):
+            perturbed_chain(a, b, skewed, levels, 16, 0.5)
 
 
 class TestAmplitudes:

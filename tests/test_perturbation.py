@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -233,3 +234,26 @@ def test_previous_krylov_basis_released(goe32, monkeypatch):
     assert (len(chains), len(rows_alive)) == (1, 3)
     overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4))
     assert (len(chains), len(rows_alive)) == (2, 7)
+
+
+@pytest.mark.parametrize(
+    "experiment, deltas",
+    [
+        (run_bound_sweep, np.geomspace(0.01, 0.5, 3)),
+        (overlap_scaling_check, np.geomspace(0.005, 0.05, 4)),
+    ],
+    ids=["bound-sweep", "scaling-check"],
+)
+def test_peak_memory_without_a_gram_matrix(experiment, deltas):
+    # beside H: the diag(E) chain matrix and its Krylov rows, then the
+    # admixture's rows and one delta's rows, each plus one Gram row block;
+    # a whole K x K Gram matrix would add 8 D^2 bytes at either stage
+    dim = 1024
+    ham = banded_hamiltonian(dim, 0.2, 0.125, 0)
+    tracemalloc.start()
+    try:
+        experiment(ham, 10, UniformComplement(), deltas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * 8 * dim**2
