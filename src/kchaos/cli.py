@@ -28,7 +28,12 @@ from .io import (
 )
 from .krylov import complexity_values, default_time_grid, lanczos_full_orth, saturation
 from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
-from .perturbation import overlap_scaling_check, run_bound_sweep
+from .perturbation import (
+    check_bound_sweep,
+    check_overlap_scaling,
+    overlap_scaling_check,
+    run_bound_sweep,
+)
 from .states import (
     GaussianProfile,
     UniformComplement,
@@ -194,12 +199,13 @@ def _cmd_bound_sweep(args) -> None:
         deltas = parse_floats(args.deltas)
     else:
         deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_points)
+    profile = _profile_from_args(args)
+    deltas = check_bound_sweep(ham.dim, args.j, profile, deltas)
+    # the sweep reads the eigenvalues alone, so H goes before its chain starts
+    spec = eigendecompose(ham, vectors=False)
+    del ham
     sweep = run_bound_sweep(
-        ham,
-        args.j,
-        _profile_from_args(args),
-        deltas,
-        allow_degenerate=args.allow_degenerate,
+        spec, args.j, profile, deltas, allow_degenerate=args.allow_degenerate
     )
     table = np.column_stack([deltas, sweep.c_bar, sweep.bound])
     write_table(args.out / "bound_sweep.csv", ["delta", "c_bar", "bound"], table)
@@ -217,7 +223,12 @@ def _cmd_scaling_check(args) -> None:
     ham = build_goe(args.dim, args.seed)
     j = args.j if args.j is not None else args.dim // 2
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_points)
-    report = overlap_scaling_check(ham, j, _profile_from_args(args), deltas)
+    profile = _profile_from_args(args)
+    deltas = check_overlap_scaling(ham.dim, j, profile, deltas)
+    # the check reads the eigenvalues alone, so H goes before its chain starts
+    spec = eigendecompose(ham, vectors=False)
+    del ham
+    report = overlap_scaling_check(spec, j, profile, deltas)
     table = np.column_stack([report.n_values, report.slopes, report.f_intercepts])
     write_table(args.out / "scaling_check.csv", ["n", "slope", "f_n"], table)
     print(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, OrthogonalityLossError
-from .hamiltonians import Hamiltonian, SpectralData
+from .hamiltonians import DiagonalOperator, Hamiltonian, SpectralData, _aligned_empty
 
 DEFAULT_B_TOL = 1e-12
 # largest deviation of the Krylov basis Gram matrix from the identity a run accepts
@@ -85,7 +85,7 @@ class SaturationReport:
 
 
 def lanczos_full_orth(
-    ham: Hamiltonian,
+    ham: Hamiltonian | DiagonalOperator,
     psi0: np.ndarray,
     spec: SpectralData,
     allow_degenerate: bool = False,
@@ -109,8 +109,9 @@ def lanczos_full_orth(
 
     Parameters
     ----------
-    ham : Hamiltonian
-        Real symmetric matrix driving the recursion.
+    ham : Hamiltonian or DiagonalOperator
+        Real symmetric operator driving the recursion, applied through its
+        ``matvec``.
     psi0 : np.ndarray
         Unit seed vector in the same basis as the matrix.
     spec : SpectralData
@@ -143,7 +144,7 @@ def lanczos_full_orth(
 
     dtype = complex if np.iscomplexobj(v) else float
     # Krylov vectors are the rows, so each projection reads contiguous memory
-    q = np.empty((dim, dim), dtype=dtype)
+    q = _aligned_empty((dim, dim), dtype)
     q[0] = v
     a = np.empty(dim)
     b = np.empty(dim - 1) if dim > 1 else np.empty(0)
@@ -271,8 +272,10 @@ def perturbed_chain(
     diag(E), in eigen-coordinates, from the chain of ``|t>``.
 
     ``levels`` are the eigenvalues E, ascending, and ``a``, ``b`` and
-    ``rows`` the coefficients and the Krylov vectors (as rows, in
-    eigen-coordinates) of a unit state ``|t>`` with no weight on level ``j``.
+    ``rows`` the coefficients and the Krylov vectors of a unit state ``|t>``
+    with no weight on level ``j``.  The rows are in complement coordinates,
+    eigen-coordinates without column j, as the chain of ``|t>`` on diag(E)
+    without level j leaves them: (K, D-1), read in place, one row at a time.
     In the basis e_j, t_0, t_1, ... diag(E) is E_j beside the tridiagonal T
     of ``|t>``.  One rotation in the (e_j, t_0) plane makes the seed the first
     basis vector and leaves a bulge at (0, 2); Givens rotations in the planes
@@ -288,13 +291,15 @@ def perturbed_chain(
     Returns the K diagonal coefficients, the K-1 positive off-diagonal ones and
     the (K, D) Krylov rows, the first of which is the seed.
     """
+    dim = levels.shape[0]
     size = a.shape[0] + 1
     scale = float(levels[-1] - levels[0])
     tol = DEFAULT_B_TOL * (scale if scale != 0.0 else 1.0)
     out_a = np.empty(size)
     out_b = np.empty(size - 1)
-    out = np.empty((size, rows.shape[1]))
-    carry, work = np.zeros((2, rows.shape[1]))
+    out = np.empty((size, dim))
+    # tau is t_n in eigen-coordinates, filled from its row around a 0 at j
+    carry, work, tau = np.zeros((3, dim))
     carry[j] = 1.0
     c = 1.0 / math.hypot(1.0, delta)
     s = delta * c
@@ -309,7 +314,7 @@ def perturbed_chain(
         # (x, y): entries (n, n+1) and (n, n+2) after the rotation; y is the bulge
         x, y = cs * (q - p) + (cc - ss) * e, s * f
         p, e = ss * p - 2.0 * cs * e + cc * q, c * f
-        tau = rows[n]
+        tau[:j], tau[j + 1 :] = rows[n, :j], rows[n, j:]
         row = np.multiply(carry, c, out=out[n])
         row += np.multiply(tau, s, out=work)
         carry *= -s

@@ -6,10 +6,14 @@ saturation is bounded by ``(3D/2 - 1) delta^2`` to leading order; the bound
 rests on every overlap ``|<K_n|e_j>|^2`` (n >= 1) scaling as ``delta^2``,
 which is what the fitting routine verifies numerically.
 
-Both experiments run in the eigenbasis, where their seeds are defined: every
-seed lies in span{e_j} + K(H, t), so one Lanczos chain of ``|t>`` on diag(E)
+Both experiments run in the eigenbasis, where their seeds are defined, so they
+take the spectrum, not the Hamiltonian: its eigenvalues are all they read,
+and ``eigendecompose(ham, vectors=False)`` solves for them alone.  Every seed
+lies in span{e_j} + K(H, t), so one Lanczos chain of ``|t>`` on diag(E)
 without level j gives the chain of every delta through
-``krylov.perturbed_chain``.
+``krylov.perturbed_chain``.  ``check_bound_sweep`` and ``check_overlap_scaling``
+check an experiment's arguments against the dimension alone, so a caller can
+run them before the eigensolve.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian, eigendecompose
+from .hamiltonians import DiagonalOperator, SpectralData
 from .krylov import lanczos_full_orth, perturbed_chain
 from .states import GaussianProfile, UniformComplement, perturbed_coefficients
 
@@ -65,41 +69,44 @@ class ScalingReport:
 OVERLAP_FLOOR = 1e-14
 
 
-def _check_anchor(j: int, dim: int) -> None:
-    if not 0 <= j < dim:
-        raise ValueError(f"eigenstate index {j} out of range [0, {dim})")
+def _admixture(dim: int, j: int, profile: GaussianProfile | UniformComplement) -> np.ndarray:
+    """Coefficients of the unit admixture ``|t>`` in complement coordinates,
+    eigen-coordinates without column j.
+
+    Raises ValueError for an anchor outside [0, dim) or a profile that
+    vanishes off level j.
+    """
+    # off level j, every seed's coefficients are proportional to those of |t>
+    seed = np.delete(perturbed_coefficients(dim, j, profile, 1.0), j)
+    seed /= np.linalg.norm(seed)
+    return seed
 
 
 def _complement_chain(
-    ham: Hamiltonian,
+    spec: SpectralData,
     j: int,
     profile: GaussianProfile | UniformComplement,
     allow_degenerate: bool,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The eigenvalues of ``ham`` and the Lanczos chain of the admixture
-    ``|t>``: its coefficients and its Krylov rows in eigen-coordinates, which
-    are zero in column j.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Lanczos chain of the admixture ``|t>``: its coefficients and its
+    Krylov rows in complement coordinates, the form ``perturbed_chain``
+    reads.
 
-    The chain runs on diag(E) with level j removed, seeded with the exact
-    complement coefficients, so roundoff cannot bring e_j back into it.  In
-    the basis of the matrix it does: on banded D=1024 with j=10 the overlap
-    with e_j grows from 2e-17 past 0.1 by step 235, up to 0.45.  The chain is
-    gated with the degeneracy verdict of the whole spectrum.
+    The chain runs on diag(E) with level j removed, applied as a diagonal
+    operator, and is seeded with the exact complement coefficients, so
+    roundoff cannot bring e_j back into it.  In the basis of the matrix it
+    does: on banded D=1024 with j=10 the overlap with e_j grows from 2e-17
+    past 0.1 by step 235, up to 0.45.  The rows are a view of the chain's own
+    basis, so beside it the chain holds no D x D array.  The chain is gated
+    with the degeneracy verdict of the whole spectrum.
     """
-    _check_anchor(j, ham.dim)
-    # the chain reads no eigenvector matrix, so none is solved for
-    spec = eigendecompose(ham, vectors=False)
-    levels = spec.eigenvalues
-    rest = np.delete(levels, j)
+    seed = _admixture(spec.dim, j, profile)
+    rest = np.delete(spec.eigenvalues, j)
     rest_spec = replace(spec, eigenvalues=rest, eigenvectors=np.empty((rest.size, 0)))
-    # off level j, every seed's coefficients are proportional to those of |t>
-    seed = np.delete(perturbed_coefficients(levels.size, j, profile, 1.0), j)
-    seed /= np.linalg.norm(seed)
     tail = lanczos_full_orth(
-        Hamiltonian(np.diag(rest)), seed, rest_spec, allow_degenerate=allow_degenerate
+        DiagonalOperator(rest), seed, rest_spec, allow_degenerate=allow_degenerate
     )
-    rows = np.insert(tail.basis.T, j, 0.0, axis=1)
-    return levels, (tail.a, tail.b, rows)
+    return tail.a, tail.b, tail.basis.T
 
 
 def _fit_sites(deltas: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,20 +140,12 @@ def bound_rhs(dim: int, delta: float) -> float:
     return (1.5 * dim - 1.0) * delta * delta
 
 
-def run_bound_sweep(
-    ham: Hamiltonian,
-    j: int,
-    profile: GaussianProfile | UniformComplement,
-    deltas: np.ndarray,
-    allow_degenerate: bool = False,
-) -> BoundSweep:
-    """Measure the saturation of perturbed eigenstates along a delta grid.
-
-    Each delta's chain comes from one shared chain of the admixture; c_bar is
-    sum_n n sum_i w_i <K_n|e_i>^2 with the exact eigenbasis weights w_i of
-    the seed.  The result pairs the measured saturation with the quadratic
-    bound.
-    """
+def check_bound_sweep(
+    dim: int, j: int, profile: GaussianProfile | UniformComplement, deltas: np.ndarray
+) -> np.ndarray:
+    """Raise ValueError unless ``run_bound_sweep`` takes these arguments on a
+    dimension-``dim`` spectrum: the delta grid, then the anchor and the
+    profile.  Returns the grid as a float array."""
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("deltas must be a nonempty 1-D grid")
@@ -154,15 +153,52 @@ def run_bound_sweep(
         raise ValueError("deltas must be finite")
     if np.any(np.diff(deltas) <= 0) or deltas[0] < 0:
         raise ValueError("deltas must be strictly increasing and >= 0")
-    levels, tail = _complement_chain(ham, j, profile, allow_degenerate)
+    _admixture(dim, j, profile)
+    return deltas
+
+
+def check_overlap_scaling(
+    dim: int, j: int, profile: GaussianProfile | UniformComplement, delta_grid: np.ndarray
+) -> np.ndarray:
+    """Raise ValueError unless ``overlap_scaling_check`` takes these arguments
+    on a dimension-``dim`` spectrum: the delta grid, then the anchor and the
+    profile.  Returns the grid as a float array."""
+    delta_grid = np.asarray(delta_grid, dtype=float)
+    if delta_grid.size < 4:
+        raise ValueError("need at least 4 grid points for a credible fit")
+    if not np.all((delta_grid > 0) & (delta_grid <= 0.05)):  # rejects nan too
+        raise ValueError("delta grid must lie in (0, 0.05]")
+    if delta_grid.ndim != 1 or np.unique(delta_grid).size != delta_grid.size:
+        raise ValueError(f"delta grid must be 1-D without repeated values, got {delta_grid}")
+    _admixture(dim, j, profile)
+    return delta_grid
+
+
+def run_bound_sweep(
+    spec: SpectralData,
+    j: int,
+    profile: GaussianProfile | UniformComplement,
+    deltas: np.ndarray,
+    allow_degenerate: bool = False,
+) -> BoundSweep:
+    """Measure the saturation of perturbed eigenstates along a delta grid.
+
+    ``spec`` is the spectrum of the Hamiltonian; only its eigenvalues are
+    read.  Each delta's chain comes from one shared chain of the admixture;
+    c_bar is sum_n n sum_i w_i <K_n|e_i>^2 with the exact eigenbasis weights
+    w_i of the seed.  The result pairs the measured saturation with the
+    quadratic bound.
+    """
+    deltas = check_bound_sweep(spec.dim, j, profile, deltas)
+    tail = _complement_chain(spec, j, profile, allow_degenerate)
     c_bar = np.empty(deltas.shape[0])
     bound = np.empty(deltas.shape[0])
     for i, delta in enumerate(deltas):
-        rows = perturbed_chain(*tail, levels, j, float(delta))[2]
-        weights = perturbed_coefficients(ham.dim, j, profile, float(delta)) ** 2
+        rows = perturbed_chain(*tail, spec.eigenvalues, j, float(delta))[2]
+        weights = perturbed_coefficients(spec.dim, j, profile, float(delta)) ** 2
         rows *= rows
         c_bar[i] = float(np.arange(rows.shape[0]) @ (rows @ weights))
-        bound[i] = bound_rhs(ham.dim, float(delta))
+        bound[i] = bound_rhs(spec.dim, float(delta))
         # release these Krylov rows before the next delta allocates its own
         del rows
     holds = c_bar <= bound
@@ -177,33 +213,28 @@ def run_bound_sweep(
 
 
 def overlap_scaling_check(
-    ham: Hamiltonian,
+    spec: SpectralData,
     j: int,
     profile: GaussianProfile | UniformComplement,
     delta_grid: np.ndarray,
 ) -> ScalingReport:
     """Fit the small-delta scaling of |<K_n|e_j>|^2 for every n >= 1.
 
-    For each delta the Krylov chain is derived from the shared chain of the
-    admixture and the overlap with the anchored eigenstate, column j of its
-    rows in eigen-coordinates, recorded; a least-squares fit of log overlap
-    against log delta should give slope 2 site by site.  The quadratic
-    coefficients f_n are recovered as geometric means of overlap/delta^2.  The
-    grid may run either way but may not repeat a value.  A near-degenerate
-    spectrum is refused (DegenerateSpectrumError).
+    ``spec`` is the spectrum of the Hamiltonian; only its eigenvalues are
+    read.  For each delta the Krylov chain is derived from the shared chain
+    of the admixture and the overlap with the anchored eigenstate, column j
+    of its rows in eigen-coordinates, recorded; a least-squares fit of log
+    overlap against log delta should give slope 2 site by site.  The
+    quadratic coefficients f_n are recovered as geometric means of
+    overlap/delta^2.  The grid may run either way but may not repeat a
+    value.  A near-degenerate spectrum is refused (DegenerateSpectrumError).
     """
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if delta_grid.size < 4:
-        raise ValueError("need at least 4 grid points for a credible fit")
-    if not np.all((delta_grid > 0) & (delta_grid <= 0.05)):  # rejects nan too
-        raise ValueError("delta grid must lie in (0, 0.05]")
-    if delta_grid.ndim != 1 or np.unique(delta_grid).size != delta_grid.size:
-        raise ValueError(f"delta grid must be 1-D without repeated values, got {delta_grid}")
-    levels, tail = _complement_chain(ham, j, profile, allow_degenerate=False)
-    overlaps = np.full((delta_grid.shape[0], ham.dim), np.nan)
-    k_min = ham.dim
+    delta_grid = check_overlap_scaling(spec.dim, j, profile, delta_grid)
+    tail = _complement_chain(spec, j, profile, allow_degenerate=False)
+    overlaps = np.full((delta_grid.shape[0], spec.dim), np.nan)
+    k_min = spec.dim
     for i, delta in enumerate(delta_grid):
-        rows = perturbed_chain(*tail, levels, j, float(delta))[2]
+        rows = perturbed_chain(*tail, spec.eigenvalues, j, float(delta))[2]
         k_min = min(k_min, rows.shape[0])
         overlaps[i, : rows.shape[0]] = rows[:, j] ** 2
         del rows

@@ -12,20 +12,30 @@ perturbed seed in the basis of the matrix beside the eigen-coordinate chain,
 the RK4 hopping-chain propagator beside the spectral amplitudes, the
 unchunked complexity curve beside ``complexity_values``, the trapezoid time
 average beside the exact saturation, the paired-log-ratio dispersion beside
-``sigma_moving``, and the ``bincount`` product beside the sparse layout of
-``Hamiltonian.matvec``.
+``sigma_moving``, the ``bincount`` product beside the sparse layout of
+``Hamiltonian.matvec``, and the admixture chain on a dense diag(E) with its
+rows re-inserted into eigen-coordinates beside the chase on complement
+coordinates.
 The sweep-CSV and config-file readers are here too: only tests call them.
 """
 
+import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from kchaos.errors import NumericalError
-from kchaos.hamiltonians import MAX_SPINS, SpectralData, _as_hamiltonian, _reflect
+from kchaos.hamiltonians import (
+    MAX_SPINS,
+    Hamiltonian,
+    SpectralData,
+    _as_hamiltonian,
+    _reflect,
+)
 from kchaos.io import build_sweep_config, read_config_pairs
-from kchaos.krylov import DEFAULT_B_TOL, LanczosResult
+from kchaos.krylov import DEFAULT_B_TOL, LanczosResult, lanczos_full_orth
 from kchaos.states import _make_state, perturbed_coefficients
 from kchaos.sweeps import STAT_COLUMNS, SweepTable
 
@@ -235,6 +245,55 @@ def perturbed_reference(levels, j, profile, delta):
     )
     psi = perturbed_coefficients(levels.size, j, profile, delta)
     return lanczos_reference(hamiltonian_from_matrix(np.diag(levels)), psi, spec)
+
+
+def insert_route_chain(spec, j, profile, delta):
+    """The chain of one delta by the route the experiments took while the
+    admixture's Krylov rows were re-inserted into eigen-coordinates: the
+    admixture's chain on a dense diag(E) without level j, its rows copied with
+    a zero column j by ``np.insert``, and the bulge chase on those rows.  The
+    oracle the chase on complement-coordinate rows matches bit for bit.
+    """
+    levels = spec.eigenvalues
+    rest = np.delete(levels, j)
+    rest_spec = replace(spec, eigenvalues=rest, eigenvectors=np.empty((rest.size, 0)))
+    seed = np.delete(perturbed_coefficients(levels.size, j, profile, 1.0), j)
+    seed /= np.linalg.norm(seed)
+    tail = lanczos_full_orth(Hamiltonian(np.diag(rest)), seed, rest_spec)
+    a, b, rows = tail.a, tail.b, np.insert(tail.basis.T, j, 0.0, axis=1)
+    size = a.shape[0] + 1
+    scale = float(levels[-1] - levels[0])
+    tol = DEFAULT_B_TOL * (scale if scale != 0.0 else 1.0)
+    out_a = np.empty(size)
+    out_b = np.empty(size - 1)
+    out = np.empty((size, rows.shape[1]))
+    carry, work = np.zeros((2, rows.shape[1]))
+    carry[j] = 1.0
+    c = 1.0 / math.hypot(1.0, delta)
+    s = delta * c
+    p, e = float(levels[j]), 0.0
+    k = size
+    for n in range(size - 1):
+        q, f = a[n], (b[n] if n + 1 < size - 1 else 0.0)
+        cc, ss, cs = c * c, s * s, c * s
+        out_a[n] = cc * p + 2.0 * cs * e + ss * q
+        x, y = cs * (q - p) + (cc - ss) * e, s * f
+        p, e = ss * p - 2.0 * cs * e + cc * q, c * f
+        tau = rows[n]
+        row = np.multiply(carry, c, out=out[n])
+        row += np.multiply(tau, s, out=work)
+        carry *= -s
+        carry += np.multiply(tau, c, out=work)
+        r = math.hypot(x, y)
+        if r < tol:
+            k = n + 1
+            break
+        out_b[n] = r
+        c, s = x / r, y / r
+    else:
+        out_a[-1] = p
+        np.multiply(carry, c, out=out[-1])
+    return out_a[:k], out_b[: k - 1], out[:k]
 
 
 def assert_lanczos_structure(ham, spec, lan, expect_full=True):

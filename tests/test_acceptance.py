@@ -323,8 +323,9 @@ def test_c09_saturation_bound(tmp_path):
     ok = True
     worst = 0.0
     for ham, tag in configurations:
+        spec = eigendecompose(ham, vectors=False)
         for j, profile, ptag in profiles:
-            sweep = run_bound_sweep(ham, j, profile, deltas)
+            sweep = run_bound_sweep(spec, j, profile, deltas)
             ok &= bool(np.all(sweep.c_bar <= sweep.bound))
             worst = max(worst, float(np.max(sweep.c_bar / sweep.bound)))
     report(9, "perturbative saturation bound", ok, f"max c_bar/bound {worst:.3f}")
@@ -332,8 +333,8 @@ def test_c09_saturation_bound(tmp_path):
 
 
 def test_c10_overlap_scaling():
-    ham = build_goe(32, 12)
-    rep = overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(0.005, 0.05, 6))
+    spec = eigendecompose(build_goe(32, 12), vectors=False)
+    rep = overlap_scaling_check(spec, 16, UniformComplement(), np.geomspace(0.005, 0.05, 6))
     parts = {
         "median slope": abs(rep.median_slope - 2.0) <= 0.1,
         "f_n sum rule": abs(rep.f_sum - 1.0) <= 0.05,

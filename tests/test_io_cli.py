@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import kchaos.perturbation
+import kchaos.cli
 import kchaos.sweeps
 from kchaos import ConfigError, Family, SweepConfig, run_ising_sweep
 from kchaos.cli import _build_parser, main
@@ -404,12 +404,12 @@ class TestCli:
 
     def test_scaling_check_degeneracy_keeps_library_text(self, tmp_path, capsys, monkeypatch):
         # scaling-check has no --allow-degenerate, so the message names no flag
-        real_eigendecompose = kchaos.perturbation.eigendecompose
+        real_eigendecompose = kchaos.cli.eigendecompose
 
         def always_degenerate(ham, **kwargs):
             return dataclasses.replace(real_eigendecompose(ham, **kwargs), near_degenerate=True)
 
-        monkeypatch.setattr(kchaos.perturbation, "eigendecompose", always_degenerate)
+        monkeypatch.setattr(kchaos.cli, "eigendecompose", always_degenerate)
         assert main(["scaling-check", "--dim", "16", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "pass allow_degenerate=True to proceed" in err
@@ -589,6 +589,12 @@ class TestCli:
                 + ["--deltas", "0.01,nan"],
                 "deltas must be finite",
             ),
+            # every weight but level 0's underflows, so no admixture is left
+            (
+                ["bound-sweep", "--model", "banded", "--dim", "32", "--j", "0"]
+                + ["--profile", "gaussian", "--center", "0", "--sigma", "0.01"],
+                "tilde profile vanishes after zeroing the anchored coefficient",
+            ),
             (
                 ["scaling-check", "--dim", "16", "--delta-min", "nan"],
                 "delta grid must lie in (0, 0.05]",
@@ -696,6 +702,7 @@ class TestCli:
             "center-nan",
             "sigma-0",
             "deltas-nan",
+            "profile-vanishes",
             "scaling-delta-nan",
             "scaling-delta-repeated",
             "all-up-odd-sector-config",
@@ -727,7 +734,9 @@ class TestCli:
             Path(name).write_text(text)
         monkeypatch.setattr("kchaos.cli.eigendecompose", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.sweeps.eigendecompose", _eigh_must_not_run)
-        monkeypatch.setattr("kchaos.perturbation.eigendecompose", _eigh_must_not_run)
+        # and any solver call that bypasses those two names
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_must_not_run)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _eigh_must_not_run)
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert match in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -16,11 +16,23 @@ from kchaos import (
     run_bound_sweep,
     saturation,
 )
+from kchaos.cli import main
 from kchaos.krylov import perturbed_chain
 from kchaos.perturbation import OVERLAP_FLOOR, _complement_chain, _fit_sites
 from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
-from oracles import fit_sites_reference, perturbed_reference, state_perturbed
+from oracles import (
+    fit_sites_reference,
+    insert_route_chain,
+    perturbed_reference,
+    state_perturbed,
+)
+
+
+@pytest.fixture(scope="module")
+def levels32(goe32):
+    """The eigenvalue-only spectrum of the GOE D=32 draw, as the CLI solves it."""
+    return eigendecompose(goe32[0], vectors=False)
 
 
 class TestBoundRhs:
@@ -43,41 +55,37 @@ class TestBoundRhs:
 
 
 class TestBoundSweep:
-    def test_delta_zero_entry(self, goe32):
-        ham, _ = goe32
-        sweep = run_bound_sweep(ham, 16, UniformComplement(), np.array([0.0, 0.05]))
+    def test_delta_zero_entry(self, levels32):
+        sweep = run_bound_sweep(levels32, 16, UniformComplement(), np.array([0.0, 0.05]))
         assert sweep.c_bar[0] == 0.0
         assert sweep.bound[0] == 0.0
 
-    def test_bound_holds_small_delta(self, goe32):
-        ham, _ = goe32
+    def test_bound_holds_small_delta(self, levels32):
         deltas = np.array([0.01, 0.02, 0.05, 0.1])
         for profile in (UniformComplement(), GaussianProfile(24, 5.0)):
-            sweep = run_bound_sweep(ham, 16, profile, deltas)
+            sweep = run_bound_sweep(levels32, 16, profile, deltas)
             assert np.all(sweep.c_bar <= sweep.bound)
             assert sweep.delta_ok_up_to == 0.1
 
     def test_saturation_monotone_for_uniform_complement(self):
         # empirical behavior on this seeded instance; not a theorem, but a
         # regression guard for the uniform-complement profile
-        ham = build_goe(64, 17)
+        spec = eigendecompose(build_goe(64, 17), vectors=False)
         deltas = np.linspace(0.02, 0.3, 8)
-        sweep = run_bound_sweep(ham, 32, UniformComplement(), deltas)
+        sweep = run_bound_sweep(spec, 32, UniformComplement(), deltas)
         assert np.all(np.diff(sweep.c_bar) >= 0)
 
-    def test_grid_validation(self, goe32):
-        ham, _ = goe32
+    def test_grid_validation(self, levels32):
         with pytest.raises(ValueError):
-            run_bound_sweep(ham, 3, UniformComplement(), np.array([0.2, 0.1]))
+            run_bound_sweep(levels32, 3, UniformComplement(), np.array([0.2, 0.1]))
         with pytest.raises(ValueError):
-            run_bound_sweep(ham, 3, UniformComplement(), np.array([]))
+            run_bound_sweep(levels32, 3, UniformComplement(), np.array([]))
 
 
 class TestOverlapScaling:
-    def test_quadratic_exponents_and_sum_rule(self, goe32):
-        ham, _ = goe32
+    def test_quadratic_exponents_and_sum_rule(self, levels32):
         report = overlap_scaling_check(
-            ham, 16, UniformComplement(), np.geomspace(0.005, 0.05, 6)
+            levels32, 16, UniformComplement(), np.geomspace(0.005, 0.05, 6)
         )
         assert abs(report.median_slope - 2.0) <= 0.1
         assert abs(report.f_sum - 1.0) <= 0.05
@@ -101,8 +109,9 @@ class TestOverlapScaling:
         ham = build_goe(dim, 21)
         spec = eigendecompose(ham)
         j = 24
+        levels = eigendecompose(ham, vectors=False)
         report = overlap_scaling_check(
-            ham, j, UniformComplement(), np.geomspace(0.005, 0.05, 6)
+            levels, j, UniformComplement(), np.geomspace(0.005, 0.05, 6)
         )
         delta = 0.02
         psi = state_perturbed(spec, j, UniformComplement(), delta)
@@ -112,25 +121,23 @@ class TestOverlapScaling:
         relative = np.abs(q0n[1:] / delta**2 - predicted) / predicted
         assert np.max(relative) <= 0.10
 
-    def test_grid_validation(self, goe32):
-        ham, _ = goe32
+    def test_grid_validation(self, levels32):
         with pytest.raises(ValueError):
-            overlap_scaling_check(ham, 3, UniformComplement(), np.array([0.01, 0.02]))
+            overlap_scaling_check(levels32, 3, UniformComplement(), np.array([0.01, 0.02]))
         with pytest.raises(ValueError):
             overlap_scaling_check(
-                ham, 3, UniformComplement(), np.array([0.01, 0.02, 0.05, 0.2])
+                levels32, 3, UniformComplement(), np.array([0.01, 0.02, 0.05, 0.2])
             )
         for grid in (np.full(6, 0.01), np.array([0.01, 0.02, 0.02, 0.03, 0.04])):
             with pytest.raises(ValueError, match=r"without repeated values, got \[0.01 "):
-                overlap_scaling_check(ham, 3, UniformComplement(), grid)
+                overlap_scaling_check(levels32, 3, UniformComplement(), grid)
         with pytest.raises(ValueError, match="1-D"):
-            overlap_scaling_check(ham, 3, UniformComplement(), np.full((2, 3), 0.01))
+            overlap_scaling_check(levels32, 3, UniformComplement(), np.full((2, 3), 0.01))
 
-    def test_decreasing_grid_fits_like_increasing(self, goe32):
-        ham, _ = goe32
+    def test_decreasing_grid_fits_like_increasing(self, levels32):
         grid = np.geomspace(0.005, 0.05, 6)
-        up = overlap_scaling_check(ham, 16, UniformComplement(), grid)
-        down = overlap_scaling_check(ham, 16, UniformComplement(), grid[::-1])
+        up = overlap_scaling_check(levels32, 16, UniformComplement(), grid)
+        down = overlap_scaling_check(levels32, 16, UniformComplement(), grid[::-1])
         assert np.allclose(down.slopes, up.slopes, rtol=1e-12, atol=0.0, equal_nan=True)
         assert np.allclose(down.f_intercepts, up.f_intercepts, rtol=1e-12, atol=0.0)
 
@@ -160,19 +167,21 @@ def test_fit_sites_matches_polyfit_oracle():
     assert np.max(np.abs(f_n[fitted] - ref_f[fitted]) / ref_f[fitted]) <= 1e-12
 
 
-def test_experiments_solve_for_eigenvalues_only(goe32, monkeypatch):
-    # the chains read only the levels, so no eigenvector solve may run
+def test_experiments_solve_for_eigenvalues_only(tmp_path, monkeypatch):
+    # the chains read only the levels, so the commands solve for no eigenvectors
     def eigh_must_not_run(*args, **kwargs):
         raise AssertionError("np.linalg.eigh ran")
 
-    ham, _ = goe32
-    grid = np.geomspace(0.005, 0.05, 6)
-    expected = overlap_scaling_check(ham, 16, UniformComplement(), grid)
+    scaling = ["scaling-check", "--dim", "32", "--seed", "12"]
+    assert main(scaling + ["--out", str(tmp_path / "expected")]) == 0
     monkeypatch.setattr(np.linalg, "eigh", eigh_must_not_run)
-    sweep = run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.05]))
-    assert np.all(sweep.c_bar <= sweep.bound)
-    report = overlap_scaling_check(ham, 16, UniformComplement(), grid)
-    assert np.array_equal(report.slopes, expected.slopes, equal_nan=True)
+    bound = ["bound-sweep", "--model", "banded", "--dim", "32", "--deltas", "0.01,0.05"]
+    assert main(bound + ["--out", str(tmp_path)]) == 0
+    sweep = np.loadtxt(tmp_path / "bound_sweep.csv", delimiter=",", skiprows=1)
+    assert np.all(sweep[:, 1] <= sweep[:, 2])
+    assert main(scaling + ["--out", str(tmp_path)]) == 0
+    expected = (tmp_path / "expected" / "scaling_check.csv").read_bytes()
+    assert (tmp_path / "scaling_check.csv").read_bytes() == expected
 
 
 class TestAgainstMatrixBasis:
@@ -181,10 +190,10 @@ class TestAgainstMatrixBasis:
         ham = banded_hamiltonian(256, 0.2, 0.125, 4)
         spec = eigendecompose(ham)
         j = 10
-        levels, tail = _complement_chain(ham, j, UniformComplement(), allow_degenerate=False)
+        tail = _complement_chain(spec, j, UniformComplement(), allow_degenerate=False)
         tol = 1e-8 * spec.spectral_range
         for delta in (1e-3, 0.05, 0.5):
-            a, b, rows = perturbed_chain(*tail, levels, j, delta)
+            a, b, rows = perturbed_chain(*tail, spec.eigenvalues, j, delta)
             psi = state_perturbed(spec, j, UniformComplement(), delta)
             lan = lanczos_full_orth(ham, psi, spec)
             assert a.size == lan.krylov_dim == 256
@@ -203,37 +212,88 @@ def test_gaussian_ising_bound_sweep_matches_oracle():
     ham = build_ising_sector(9, 4.0, "even")
     profile = GaussianProfile(61, 10.0)
     deltas = np.geomspace(0.01, 0.5, 12)[[0, 5, 11]]
-    sweep = run_bound_sweep(ham, 10, profile, deltas)
+    sweep = run_bound_sweep(eigendecompose(ham, vectors=False), 10, profile, deltas)
     levels = eigendecompose(ham).eigenvalues
     for delta, c_bar in zip(deltas, sweep.c_bar):
         c_ref = saturation(perturbed_reference(levels, 10, profile, delta)).c_bar
         assert c_bar == pytest.approx(c_ref, rel=1e-10)
 
 
-def test_previous_krylov_basis_released(goe32, monkeypatch):
-    # one admixture chain per experiment, released before the first delta;
-    # each delta's Krylov rows are released before the next delta's are formed
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("profile", ["uniform", "gaussian"])
+def test_complement_rows_match_the_insert_route(dim, profile):
+    # the chase reads the admixture's rows in complement coordinates; the
+    # route that re-inserted a zero column j first, on a dense diag(E) chain
+    # (a dense product at D=16, the sparse layout at D=64), gives the same
+    # bits, at both edge anchors and in the middle
+    spec = eigendecompose(build_goe(dim, dim), vectors=False)
+    prof = UniformComplement() if profile == "uniform" else GaussianProfile(dim / 3, dim / 8)
+    for j in (0, dim // 2, dim - 1):
+        tail = _complement_chain(spec, j, prof, allow_degenerate=False)
+        assert tail[2].shape == (dim - 1, dim - 1)
+        for delta in (0.0, 1e-3, 0.05, 0.5):
+            chain = perturbed_chain(*tail, spec.eigenvalues, j, delta)
+            reference = insert_route_chain(spec, j, prof, delta)
+            for got, ref in zip(chain, reference):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_previous_krylov_basis_released(levels32, monkeypatch):
+    # one admixture chain per experiment, whose own Krylov basis the chase
+    # reads, with no copy; each delta's rows are released before the next
+    # delta's are formed, and the chain's basis when the experiment returns
     chains, rows_alive = [], []
 
     def run(*args, **kwargs):
         lan = lanczos_full_orth(*args, **kwargs)
-        chains.append((weakref.ref(lan), weakref.ref(lan.basis.base)))
+        chains.append(weakref.ref(lan.basis.base))
         return lan
 
-    def chase(*args, **kwargs):
-        refs = [ref for pair in chains + rows_alive for ref in pair]
-        assert all(ref() is None for ref in refs), "an earlier chain or delta's rows are alive"
-        result = perturbed_chain(*args, **kwargs)
-        rows_alive.append((weakref.ref(result[2]), weakref.ref(result[2].base)))
+    def chase(a, b, rows, *args, **kwargs):
+        assert all(ref() is None for ref in rows_alive), "an earlier delta's rows are alive"
+        assert rows.base is chains[-1]() and np.shares_memory(rows, chains[-1]())
+        result = perturbed_chain(a, b, rows, *args, **kwargs)
+        rows_alive.append(weakref.ref(result[2].base))
         return result
 
     monkeypatch.setattr("kchaos.perturbation.lanczos_full_orth", run)
     monkeypatch.setattr("kchaos.perturbation.perturbed_chain", chase)
-    ham, _ = goe32
-    run_bound_sweep(ham, 16, UniformComplement(), np.array([0.01, 0.02, 0.05]))
+    run_bound_sweep(levels32, 16, UniformComplement(), np.array([0.01, 0.02, 0.05]))
     assert (len(chains), len(rows_alive)) == (1, 3)
-    overlap_scaling_check(ham, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4))
+    assert chains[0]() is None
+    overlap_scaling_check(levels32, 16, UniformComplement(), np.geomspace(1e-3, 1e-2, 4))
     assert (len(chains), len(rows_alive)) == (2, 7)
+    assert chains[1]() is None
+
+
+# banded D=1024, anchored at j=10, as the bound-banded-d1024 benchmark runs it
+PEAK_DIM = 1024
+
+
+@pytest.fixture(scope="module")
+def levels1024():
+    return eigendecompose(banded_hamiltonian(PEAK_DIM, 0.2, 0.125, 0), vectors=False)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` traces over ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_complement_chain_holds_one_krylov_array(levels1024):
+    # the chain of the admixture on diag(E) holds its own (D-1) x (D-1) basis
+    # and one Gram row block, no dense diag(E) and no re-inserted copy of
+    # its rows: 2.13 x 8 D^2 with both
+    peak = _traced_peak(
+        lambda: _complement_chain(levels1024, 10, UniformComplement(), allow_degenerate=False)
+    )
+    assert peak <= 1.25 * 8 * PEAK_DIM**2
 
 
 @pytest.mark.parametrize(
@@ -244,16 +304,17 @@ def test_previous_krylov_basis_released(goe32, monkeypatch):
     ],
     ids=["bound-sweep", "scaling-check"],
 )
-def test_peak_memory_without_a_gram_matrix(experiment, deltas):
-    # beside H: the diag(E) chain matrix and its Krylov rows, then the
-    # admixture's rows and one delta's rows, each plus one Gram row block;
-    # a whole K x K Gram matrix would add 8 D^2 bytes at either stage
-    dim = 1024
-    ham = banded_hamiltonian(dim, 0.2, 0.125, 0)
-    tracemalloc.start()
-    try:
-        experiment(ham, 10, UniformComplement(), deltas)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.6 * 8 * dim**2
+def test_peak_memory_without_a_gram_matrix(experiment, deltas, levels1024):
+    # the admixture's Krylov basis and one delta's rows, plus one Gram row
+    # block; a whole K x K Gram matrix would add 8 D^2 bytes at either stage
+    peak = _traced_peak(lambda: experiment(levels1024, 10, UniformComplement(), deltas))
+    assert peak < 2.6 * 8 * PEAK_DIM**2
+
+
+def test_bound_sweep_command_drops_h_before_the_chain(tmp_path):
+    # H, then H beside the levels; then the admixture's basis and one delta's
+    # rows with a Gram row block. Holding H through the chain and the chase
+    # traced 3.25 x 8 D^2.
+    argv = ["bound-sweep", "--model", "banded", "--dim", str(PEAK_DIM), "--k", "0.125"]
+    argv += ["--j", "10", "--delta-points", "3", "--out", str(tmp_path)]
+    assert _traced_peak(lambda: main(argv)) <= 2.5 * 8 * PEAK_DIM**2
