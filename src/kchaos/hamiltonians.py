@@ -5,13 +5,16 @@ Two families are provided: an open Ising chain with a tilted magnetic field
 interpolating between Poisson and GOE level statistics.  Every matrix is real
 symmetric and stored dense, applied through its band or its nonzeros.  The
 Lanczos runs need the full eigenbasis, so matrices are diagonalized directly;
-callers that read only the levels solve for the eigenvalues alone.
+callers that read only the levels solve for the eigenvalues alone, and the
+levels of a sector that no Hamiltonian holds are solved in the storage of
+their own build.
 """
 
 from __future__ import annotations
 
 import ctypes
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
@@ -212,12 +215,18 @@ def _asymmetry(matrix: np.ndarray) -> float:
     # one maximum per block, so a nan anywhere reaches the result
     worst = [0.0]
     for r0 in range(0, dim, step):
-        diff = matrix[r0 : r0 + step, r0:] - matrix[r0:, r0 : r0 + step].T
+        # inf - inf is nan, which the caller refuses, so numpy need not warn
+        with np.errstate(invalid="ignore"):
+            diff = matrix[r0 : r0 + step, r0:] - matrix[r0:, r0 : r0 + step].T
         worst.append(np.abs(diff, out=diff).max())
+        # freed here, so the next block is not allocated beside it
+        del diff
     return float(np.max(worst))
 
 
-def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
+def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a C-order float64 array, refused unless square and
+    symmetric to ``SYMMETRY_TOL``; a conforming array is returned uncopied."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
@@ -225,6 +234,11 @@ def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
     # a nan or inf entry makes resid nan, which no comparison passes
     if not resid <= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |H - H^T| = {resid:.3e}")
+    return matrix
+
+
+def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
+    matrix = _checked_symmetric(matrix)
     matrix.setflags(write=False)
     return Hamiltonian(matrix=matrix, meta=meta)
 
@@ -280,6 +294,14 @@ def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
     palindromes.  Both sides of a palindrome entry are built from the one
     constant sqrt(2)/2, so the matrix is exactly symmetric.
     """
+    return _as_hamiltonian(
+        _ising_sector_matrix(n_spins, h_z, sector),
+        {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": sector},
+    )
+
+
+def _ising_sector_matrix(n_spins: int, h_z: float, sector: str) -> np.ndarray:
+    """The aligned, writable matrix ``build_ising_sector`` wraps."""
     if not np.isfinite(h_z):
         raise ValueError(f"h_z must be finite, got {h_z:g}")
     basis = parity_basis(n_spins, sector)
@@ -305,9 +327,7 @@ def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
         keep = vals != 0.0
         rows = np.searchsorted(reps, np.minimum(t, t_rev)[keep])
         np.add.at(h, (rows, cols[keep]), vals[keep])
-    return _as_hamiltonian(
-        h, {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": sector}
-    )
+    return h
 
 
 def _draw_banded_symmetric(dim: int, bandwidth: int, rng: np.random.Generator) -> np.ndarray:
@@ -415,24 +435,34 @@ def _two_stage_solver() -> Callable | None:
     return None
 
 
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+def _eigvalsh(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, through the two-stage
     reduction from ``TWO_STAGE_MIN_DIM`` on where it is available and through
-    ``np.linalg.eigvalsh`` otherwise.  The solve overwrites a copy: a C-order
-    symmetric matrix is its own column-major form, so the copy is the input
-    LAPACK reads."""
+    ``np.linalg.eigvalsh`` otherwise.  The two-stage solve overwrites a copy,
+    or with ``overwrite`` the C-order ``matrix`` itself: a symmetric matrix
+    is its own column-major form, so either is the input LAPACK reads.
+    ``np.linalg.eigvalsh`` copies internally whatever ``overwrite`` says."""
     dim = matrix.shape[0]
     solve = _two_stage_solver() if dim >= TWO_STAGE_MIN_DIM else None
     # numpy takes (or refuses) what the real routine cannot: a non-square or
     # non-float64 array
     if solve is None or matrix.shape != (dim, dim) or matrix.dtype != np.float64:
         return np.linalg.eigvalsh(matrix)
-    work = matrix.copy(order="C")
+    work = matrix if overwrite else matrix.copy(order="C")
     levels = np.empty(dim)
     info = solve(_LAPACK_COL_MAJOR, b"N", b"L", dim, work.ctypes.data, dim, levels.ctypes.data)
     if info != 0:
         raise NumericalError(f"eigensolver failed: dsyevd_2stage returned info = {info}")
     return levels
+
+
+@contextmanager
+def _solver_errors():
+    """Raise numpy's LinAlgError as a NumericalError."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def eigendecompose(ham: Hamiltonian, vectors: bool = True) -> SpectralData:
@@ -445,12 +475,20 @@ def eigendecompose(ham: Hamiltonian, vectors: bool = True) -> SpectralData:
     ``vectors=False`` solves for the eigenvalues alone (see ``_eigvalsh``),
     with the same verdict and an empty (D, 0) eigenvector array: no D x D
     eigenvectors, no 2 D^2 workspace, about half the time of ``eigh``.
+    ``ham.matrix`` is left as it was.
     """
-    try:
+    with _solver_errors():
         if vectors:
             eigenvalues, eigenvectors = np.linalg.eigh(ham.matrix)
         else:
             eigenvalues, eigenvectors = _eigvalsh(ham.matrix), np.empty((ham.dim, 0))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     return _spectral_data(eigenvalues, eigenvectors)
+
+
+def _ising_sector_levels(n_spins: int, h_z: float, sector: str) -> np.ndarray:
+    """The levels of ``eigendecompose(build_ising_sector(...), vectors=False)``
+    without a Hamiltonian: the two-stage solve overwrites the freshly built
+    matrix, so the peak holds one D x D array instead of H and its copy."""
+    matrix = _checked_symmetric(_ising_sector_matrix(n_spins, h_z, sector))
+    with _solver_errors():
+        return _eigvalsh(matrix, overwrite=True)

@@ -25,6 +25,7 @@ from .errors import ConfigError
 from .hamiltonians import (
     Hamiltonian,
     SpectralData,
+    _ising_sector_levels,
     build_banded_random,
     build_ising_sector,
     eigendecompose,
@@ -267,8 +268,7 @@ def _ising_eta_levels(cfg: SweepConfig, h_z: float) -> list[np.ndarray] | None:
     if cfg.n_eta == cfg.n_spins:
         return None
     # eta reads the levels alone; the degeneracy verdict never gates or skips the point
-    ham = build_ising_sector(cfg.n_eta, h_z, cfg.sector)
-    return [eigendecompose(ham, vectors=False).eigenvalues]
+    return [_ising_sector_levels(cfg.n_eta, h_z, cfg.sector)]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kchaos.hamiltonians import (
     _asymmetry,
     _band_product,
     _eigvalsh,
+    _ising_sector_levels,
     _two_stage_solver,
 )
 from kchaos.sweeps import banded_hamiltonian
@@ -347,6 +349,22 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="symmetric"):
             hamiltonian_from_matrix(np.diag([np.nan, 1.0]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.diag([np.inf, 1.0]),
+            np.array([[0.0, np.inf], [np.inf, 0.0]]),
+            np.array([[0.0, -np.inf], [-np.inf, 0.0]]),
+        ],
+        ids=["inf-diagonal", "inf-pair", "minus-inf-pair"],
+    )
+    def test_rejects_inf_without_a_warning(self, matrix):
+        # inf - inf is nan, refused like a nan entry, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="symmetric"):
+                hamiltonian_from_matrix(matrix)
+
     @pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 30])
     def test_blocked_asymmetry_matches_whole_matrix(self, dim, monkeypatch):
         # blocks of 8 rows at D = 8, 2 at D = 30; the upper triangle is skewed
@@ -457,7 +475,7 @@ needs_two_stage = pytest.mark.skipif(
 )
 
 
-def _must_not_run(*args):
+def _must_not_run(*args, **kwargs):
     raise AssertionError("the two-stage routine ran")
 
 
@@ -513,3 +531,36 @@ class TestTwoStageRoute:
         monkeypatch.setattr(kchaos.hamiltonians, "TWO_STAGE_MIN_DIM", 0)
         with pytest.raises(NumericalError, match="dsyevd_2stage returned info = -5"):
             _eigvalsh(np.diag([np.nan, 1.0]))
+
+
+class TestIsingSectorLevels:
+    @pytest.mark.parametrize("n_spins", [11, 8])
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    def test_levels_are_eigendecomposes(self, n_spins, sector):
+        # the N=11 even sector (D = 1056) takes the two-stage route where it
+        # exists; the N=11 odd one (D = 992) and both N=8 ones take eigvalsh
+        for h_z in (0.5, 2.0):
+            ham = build_ising_sector(n_spins, h_z, sector)
+            expected = eigendecompose(ham, vectors=False).eigenvalues
+            assert np.array_equal(_ising_sector_levels(n_spins, h_z, sector), expected)
+
+    @needs_two_stage
+    def test_solve_overwrites_the_build(self):
+        # the routine works on the built matrix: no D x D copy is traced
+        dim = parity_basis(11, "even").dim
+        assert dim >= TWO_STAGE_MIN_DIM
+        tracemalloc.start()
+        try:
+            _ising_sector_levels(11, 0.5, "even")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * dim**2
+
+    def test_asymmetric_build_is_refused_before_the_solve(self, monkeypatch):
+        monkeypatch.setattr(kchaos.hamiltonians, "_asymmetry", lambda matrix: 1.0)
+        monkeypatch.setattr(kchaos.hamiltonians, "_eigvalsh", _must_not_run)
+        monkeypatch.setattr(kchaos.hamiltonians, "_two_stage_solver", _must_not_run)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _must_not_run)
+        with pytest.raises(ValueError, match="not symmetric"):
+            _ising_sector_levels(11, 0.5, "even")

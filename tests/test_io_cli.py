@@ -751,7 +751,8 @@ class TestCli:
             Path(name).write_text(text)
         monkeypatch.setattr("kchaos.cli.eigendecompose", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.sweeps.eigendecompose", _eigh_must_not_run)
-        # and any solver call that bypasses those two names
+        monkeypatch.setattr("kchaos.sweeps._ising_sector_levels", _eigh_must_not_run)
+        # and any solver call that bypasses those names
         monkeypatch.setattr(np.linalg, "eigh", _eigh_must_not_run)
         monkeypatch.setattr(np.linalg, "eigvalsh", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.hamiltonians._two_stage_solver", _eigh_must_not_run)

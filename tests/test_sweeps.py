@@ -11,7 +11,9 @@ from kchaos import (
     SweepConfig,
     build_banded_random,
     build_goe,
+    build_ising_sector,
     derive_seed,
+    eigendecompose,
     eta,
     r_ratio_mean,
     run_banded_sweep,
@@ -182,6 +184,19 @@ class TestIsingSweep:
                 [sweep.column("all_up_cbar_norm"), sweep.column("all_up_inv_sigma_b_norm")]
             )
         assert np.max(np.abs(curves[8] - curves[10])) < 0.1
+
+    def test_eta_levels_build_no_hamiltonian(self, monkeypatch):
+        # the longer chain's levels are solved in the storage of their build,
+        # so neither the Hamiltonian builder nor eigendecompose runs
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the eta levels went through a Hamiltonian")
+
+        cfg = small_ising_cfg(n_eta=8)
+        expected = eigendecompose(build_ising_sector(8, 0.5, "even"), vectors=False).eigenvalues
+        monkeypatch.setattr(kchaos.sweeps, "build_ising_sector", must_not_run)
+        monkeypatch.setattr(kchaos.sweeps, "eigendecompose", must_not_run)
+        (levels,) = kchaos.sweeps._ising_eta_levels(cfg, 0.5)
+        assert np.array_equal(levels, expected)
 
 
 class TestBandedSweep:
