@@ -26,8 +26,8 @@ from .io import (
     render_line_chart,
     write_table,
 )
-from .krylov import complexity_values, default_time_grid, lanczos_full_orth, saturation
-from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
+from .krylov import complexity_values, default_time_grid
+from .measures import DispersionConfig, eta, r_ratio_mean
 from .perturbation import (
     check_bound_sweep,
     check_overlap_scaling,
@@ -45,6 +45,7 @@ from .sweeps import (
     MODELS,
     SweepConfig,
     _check_levels,
+    _run_member,
     banded_hamiltonian,
     run_banded_sweep,
     run_ising_sweep,
@@ -255,8 +256,7 @@ def _cmd_single_run(args) -> None:
     spec = eigendecompose(ham)
     if state_kind == "uniform":
         psi = state_uniform_eigenbasis(spec)
-    lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=args.allow_degenerate)
-    rep = saturation(lan)
+    lan, rep, sigma_a, sigma_b = _run_member(ham, spec, psi, disp, args.allow_degenerate)
     times = default_time_grid(spec.spectral_range, ham.dim, n_points=args.t_points)
     values = complexity_values(lan, times)
     write_table(args.out / "single_run.csv", ["t", "c_k"], np.column_stack([times, values]))
@@ -272,13 +272,8 @@ def _cmd_single_run(args) -> None:
     print(f"single-run [{tag}] state={state_kind}")
     print(f"  K = {lan.krylov_dim} / D = {ham.dim}   eta = {eta_val:.4f}")
     print(f"  c_bar = {rep.c_bar:.6g}   c_bar_norm = {rep.c_bar_normalized:.6g}")
-    try:
-        print(
-            f"  sigma(a) = {sigma_moving(lan.a, disp):.6g}   "
-            f"sigma(b) = {sigma_moving(lan.b, disp):.6g}"
-        )
-    except ValueError:
-        pass  # sequence too short for the dispersion window
+    if np.isfinite(sigma_a):  # nan when the chain is too short for the dispersion window
+        print(f"  sigma(a) = {sigma_a:.6g}   sigma(b) = {sigma_b:.6g}")
 
 
 def main(argv=None) -> int:

@@ -72,16 +72,15 @@ class LanczosResult:
 
 @dataclass(frozen=True)
 class SaturationReport:
-    """Infinite-time average of the complexity and its transition weights.
+    """Infinite-time average of the complexity.
 
-    ``q0n[n]`` is the time-averaged occupation of chain site n; ``c_bar`` is
-    its first moment and ``c_bar_normalized`` divides by the fully
-    delocalized value (D-1)/2.
+    ``c_bar`` is the first moment of the time-averaged occupations of the
+    chain sites and ``c_bar_normalized`` divides it by the fully delocalized
+    value (D-1)/2.
     """
 
     c_bar: float
     c_bar_normalized: float
-    q0n: np.ndarray
 
 
 def lanczos_full_orth(
@@ -267,7 +266,7 @@ def perturbed_chain(
     levels: np.ndarray,
     j: int,
     delta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Lanczos chain of ``(|e_j> + delta |t>) / sqrt(1 + delta^2)`` on
     diag(E), in eigen-coordinates, from the chain of ``|t>``.
 
@@ -288,15 +287,12 @@ def perturbed_chain(
     ``DEFAULT_B_TOL`` times the spectral range (times 1 when it is 0), and
     the rotated rows pass the same Gram check against ``ORTHO_TOL``.
 
-    Returns the K diagonal coefficients, the K-1 positive off-diagonal ones and
-    the (K, D) Krylov rows, the first of which is the seed.
+    Returns the (K, D) Krylov rows, the first of which is the seed.
     """
     dim = levels.shape[0]
     size = a.shape[0] + 1
     scale = float(levels[-1] - levels[0])
     tol = DEFAULT_B_TOL * (scale if scale != 0.0 else 1.0)
-    out_a = np.empty(size)
-    out_b = np.empty(size - 1)
     out = np.empty((size, dim))
     # tau is t_n in eigen-coordinates, filled from its row around a 0 at j
     carry, work, tau = np.zeros((3, dim))
@@ -310,7 +306,6 @@ def perturbed_chain(
     for n in range(size - 1):
         q, f = a[n], (b[n] if n + 1 < size - 1 else 0.0)
         cc, ss, cs = c * c, s * s, c * s
-        out_a[n] = cc * p + 2.0 * cs * e + ss * q
         # (x, y): entries (n, n+1) and (n, n+2) after the rotation; y is the bulge
         x, y = cs * (q - p) + (cc - ss) * e, s * f
         p, e = ss * p - 2.0 * cs * e + cc * q, c * f
@@ -323,20 +318,29 @@ def perturbed_chain(
         if r < tol:
             k = n + 1
             break
-        out_b[n] = r
         c, s = x / r, y / r
     else:
         # the last rotation has no bulge to chase: it only fixes the sign of b
-        out_a[-1] = p
         np.multiply(carry, c, out=out[-1])
     basis = out[:k]
     _gram_check(basis)
-    return out_a[:k], out_b[: k - 1], basis
+    return basis
 
 
 def _eigen_overlaps(lan: LanczosResult) -> np.ndarray:
-    """Matrix <K_n|e_i> of shape (K, D)."""
+    """Matrix <K_n|e_i> of shape (K, D); ValueError if the spectrum lacks eigenvectors."""
+    if lan.spec.eigenvectors.shape[1] < lan.spec.dim:
+        raise ValueError("the run's spectrum lacks eigenvectors: solve it with eigendecompose(ham)")
     return lan.basis.conj().T @ lan.spec.eigenvectors
+
+
+def _c_bar(overlaps: np.ndarray, weights: np.ndarray) -> float:
+    """sum_n n sum_i w_i |<K_n|e_i>|^2 from the (K, D) overlaps; squares real ones in place."""
+    if np.iscomplexobj(overlaps):
+        overlaps = np.abs(overlaps)
+    # |<K_n|e_i>|^2 in place, so a real basis needs one K x D array, not two
+    overlaps *= overlaps
+    return float(np.arange(overlaps.shape[0]) @ (overlaps @ weights))
 
 
 def _seed_weights(lan: LanczosResult) -> np.ndarray:
@@ -394,20 +398,10 @@ def saturation(lan: LanczosResult) -> SaturationReport:
     one ``lanczos_full_orth`` gated, so a run allowed on a near-degenerate
     spectrum is averaged without a second check.
     """
-    spec = lan.spec
-    overlaps = _eigen_overlaps(lan)
-    if np.iscomplexobj(overlaps):
-        overlaps = np.abs(overlaps)
-    # |<K_n|e_i>|^2 in place, so a real basis needs one K x D array, not two
-    overlaps *= overlaps
-    weights = np.abs(_seed_weights(lan)) ** 2
-    q = overlaps @ weights
-    q0n = np.zeros(spec.dim)
-    q0n[: lan.krylov_dim] = q
-    c_bar = float(np.arange(lan.krylov_dim) @ q)
-    half = (spec.dim - 1) / 2.0
+    c_bar = _c_bar(_eigen_overlaps(lan), np.abs(_seed_weights(lan)) ** 2)
+    half = (lan.spec.dim - 1) / 2.0
     c_bar_normalized = c_bar / half if half > 0 else 0.0
-    return SaturationReport(c_bar=c_bar, c_bar_normalized=c_bar_normalized, q0n=q0n)
+    return SaturationReport(c_bar=c_bar, c_bar_normalized=c_bar_normalized)
 
 
 def default_time_grid(

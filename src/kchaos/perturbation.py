@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonians import DiagonalOperator, SpectralData
-from .krylov import lanczos_full_orth, perturbed_chain
+from .krylov import _c_bar, lanczos_full_orth, perturbed_chain
 from .states import GaussianProfile, UniformComplement, perturbed_coefficients
 
 
@@ -194,13 +194,10 @@ def run_bound_sweep(
     c_bar = np.empty(deltas.shape[0])
     bound = np.empty(deltas.shape[0])
     for i, delta in enumerate(deltas):
-        rows = perturbed_chain(*tail, spec.eigenvalues, j, float(delta))[2]
         weights = perturbed_coefficients(spec.dim, j, profile, float(delta)) ** 2
-        rows *= rows
-        c_bar[i] = float(np.arange(rows.shape[0]) @ (rows @ weights))
+        # the chain's rows are its overlaps with the eigenbasis, and die with the call
+        c_bar[i] = _c_bar(perturbed_chain(*tail, spec.eigenvalues, j, float(delta)), weights)
         bound[i] = bound_rhs(spec.dim, float(delta))
-        # release these Krylov rows before the next delta allocates its own
-        del rows
     holds = c_bar <= bound
     ok_prefix = np.where(~holds)[0]
     if ok_prefix.size == 0:
@@ -234,7 +231,7 @@ def overlap_scaling_check(
     overlaps = np.full((delta_grid.shape[0], spec.dim), np.nan)
     k_min = spec.dim
     for i, delta in enumerate(delta_grid):
-        rows = perturbed_chain(*tail, spec.eigenvalues, j, float(delta))[2]
+        rows = perturbed_chain(*tail, spec.eigenvalues, j, float(delta))
         k_min = min(k_min, rows.shape[0])
         overlaps[i, : rows.shape[0]] = rows[:, j] ** 2
         del rows

@@ -31,7 +31,7 @@ from .hamiltonians import (
     eigendecompose,
     parity_basis,
 )
-from .krylov import lanczos_full_orth, saturation
+from .krylov import LanczosResult, SaturationReport, lanczos_full_orth, saturation
 from .measures import DispersionConfig, eta, r_ratio_mean, sigma_moving
 from .states import (
     select_center_states,
@@ -355,22 +355,25 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, np.ndarray]] |
     return members
 
 
-def _member_stats(
+def _run_member(
     ham: Hamiltonian,
     spec: SpectralData,
     psi: np.ndarray,
-    cfg: SweepConfig,
-) -> tuple[float, float, float]:
-    lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=cfg.allow_degenerate)
+    dispersion: DispersionConfig,
+    allow_degenerate: bool,
+) -> tuple[LanczosResult, SaturationReport, float, float]:
+    """One Krylov member: its Lanczos run, its saturation, and sigma(a) and
+    sigma(b), both nan when the chain is too short for the dispersion window."""
+    lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=allow_degenerate)
     rep = saturation(lan)
     try:
-        inv_a = 1.0 / sigma_moving(lan.a, cfg.dispersion)
-        inv_b = 1.0 / sigma_moving(lan.b, cfg.dispersion)
+        sigma_a = sigma_moving(lan.a, dispersion)
+        sigma_b = sigma_moving(lan.b, dispersion)
     except ValueError:
         # a halted run (eigenstate-like seed) has no usable Lanczos sequence;
         # it still contributes its saturation but not a dispersion value
-        inv_a = inv_b = float("nan")
-    return rep.c_bar_normalized, inv_a, inv_b
+        sigma_a = sigma_b = float("nan")
+    return lan, rep, sigma_a, sigma_b
 
 
 def _stats_from_rows(rows: list[tuple[float, float, float]]) -> list[float]:
@@ -420,7 +423,13 @@ def _sweep(cfg: SweepConfig, model_name: str) -> SweepTable:
             members = fixed[fam.label]
             if members is None:
                 members = [(r, state_uniform_eigenbasis(s)) for r, s in enumerate(specs)]
-            rows = [_member_stats(hams[r], specs[r], psi, cfg) for r, psi in members]
+            rows = []
+            for r, psi in members:
+                # the slice drops the run, so no Krylov basis outlives its member
+                rep, sigma_a, sigma_b = _run_member(
+                    hams[r], specs[r], psi, cfg.dispersion, cfg.allow_degenerate
+                )[1:]
+                rows.append((rep.c_bar_normalized, 1.0 / sigma_a, 1.0 / sigma_b))
             row += _stats_from_rows(rows)
         return row
 

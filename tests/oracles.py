@@ -15,7 +15,9 @@ average beside the exact saturation, the paired-log-ratio dispersion beside
 ``sigma_moving``, the ``bincount`` product beside the sparse layout of
 ``Hamiltonian.matvec``, and the admixture chain on a dense diag(E) with its
 rows re-inserted into eigen-coordinates beside the chase on complement
-coordinates.
+coordinates.  The package returns neither the Lanczos coefficients of the
+chase's rows nor the site occupations Q_0n whose first moment is the
+saturation; both are computed here.
 The sweep-CSV and config-file readers are here too: only tests call them.
 """
 
@@ -248,7 +250,7 @@ def perturbed_reference(levels, j, profile, delta):
 
 
 def insert_route_chain(spec, j, profile, delta):
-    """The chain of one delta by the route the experiments took while the
+    """The Krylov rows of one delta by the route the experiments took while the
     admixture's Krylov rows were re-inserted into eigen-coordinates: the
     admixture's chain on a dense diag(E) without level j, its rows copied with
     a zero column j by ``np.insert``, and the bulge chase on those rows.  The
@@ -264,8 +266,6 @@ def insert_route_chain(spec, j, profile, delta):
     size = a.shape[0] + 1
     scale = float(levels[-1] - levels[0])
     tol = DEFAULT_B_TOL * (scale if scale != 0.0 else 1.0)
-    out_a = np.empty(size)
-    out_b = np.empty(size - 1)
     out = np.empty((size, rows.shape[1]))
     carry, work = np.zeros((2, rows.shape[1]))
     carry[j] = 1.0
@@ -276,7 +276,6 @@ def insert_route_chain(spec, j, profile, delta):
     for n in range(size - 1):
         q, f = a[n], (b[n] if n + 1 < size - 1 else 0.0)
         cc, ss, cs = c * c, s * s, c * s
-        out_a[n] = cc * p + 2.0 * cs * e + ss * q
         x, y = cs * (q - p) + (cc - ss) * e, s * f
         p, e = ss * p - 2.0 * cs * e + cc * q, c * f
         tau = rows[n]
@@ -288,12 +287,32 @@ def insert_route_chain(spec, j, profile, delta):
         if r < tol:
             k = n + 1
             break
-        out_b[n] = r
         c, s = x / r, y / r
     else:
-        out_a[-1] = p
         np.multiply(carry, c, out=out[-1])
-    return out_a[:k], out_b[: k - 1], out[:k]
+    return out[:k]
+
+
+def chain_coefficients(rows, levels):
+    """The Lanczos coefficients of Krylov rows in eigen-coordinates, read off
+    as matrix elements of diag(E): a_n = sum_i E_i r_ni^2 and
+    b_n = sum_i E_i r_ni r_(n+1)i.  ``perturbed_chain`` returns its rows
+    alone; the tests compare these with a reference chain's a and b."""
+    weighted = rows * levels
+    a = np.einsum("ni,ni->n", weighted, rows)
+    b = np.einsum("ni,ni->n", weighted[:-1], rows[1:])
+    return a, b
+
+
+def site_occupation(lan):
+    """Time-averaged occupation Q_0n = sum_i |<e_i|psi0>|^2 |<K_n|e_i>|^2 of
+    each chain site n < D, 0 from the run's Krylov dimension K on; c_bar of
+    ``saturation`` is its first moment."""
+    vecs = lan.spec.eigenvectors
+    seed = np.abs(vecs.conj().T @ lan.basis[:, 0]) ** 2
+    q0n = np.zeros(lan.spec.dim)
+    q0n[: lan.krylov_dim] = np.abs(lan.basis.conj().T @ vecs) ** 2 @ seed
+    return q0n
 
 
 def assert_lanczos_structure(ham, spec, lan, expect_full=True):

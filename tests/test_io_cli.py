@@ -760,7 +760,17 @@ class TestCli:
         assert match in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_single_run_goe(self, tmp_path, capsys):
+    def test_single_run_goe(self, tmp_path, capsys, monkeypatch):
+        # single-run runs the sweep's member function, whose Lanczos call is
+        # looked up in kchaos.sweeps
+        calls = []
+        lanczos = kchaos.sweeps.lanczos_full_orth
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr("kchaos.sweeps.lanczos_full_orth", counted)
         code = main(
             [
                 "single-run",
@@ -777,8 +787,18 @@ class TestCli:
             ]
         )
         assert code == 0
+        assert len(calls) == 1
         assert (tmp_path / "single_run.csv").exists()
-        assert "c_bar" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "c_bar" in out
+        assert "  sigma(a) = " in out.splitlines()[-1]
+
+    def test_single_run_short_chain_prints_no_sigma(self, tmp_path, capsys):
+        # at D=16 the dispersion window of the default w_frac is empty
+        assert main(["single-run", "--model", "goe", "--dim", "16", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "c_bar" in out
+        assert "sigma(" not in out
 
 
 # every sweep flag, set away from its default, and the .meta.txt line it gives

@@ -33,11 +33,13 @@ from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
     assert_lanczos_structure,
+    chain_coefficients,
     complexity_curve,
     gram_residual_reference,
     hamiltonian_from_matrix,
     lanczos_reference,
     perturbed_reference,
+    site_occupation,
     state_perturbed,
     tight_binding_propagate,
     time_average_complexity,
@@ -322,7 +324,8 @@ class TestPerturbedChain:
         for j in sorted({0, dim // 2, dim - 1}):
             for delta in (0.0, 1e-3, 0.05, 0.5):
                 prof = CHASE_PROFILES[profile](dim)
-                tail, (a, b, rows) = _chase(levels, j, prof, delta)
+                tail, rows = _chase(levels, j, prof, delta)
+                a, b = chain_coefficients(rows, levels)
                 ref = perturbed_reference(levels, j, prof, delta)
                 assert a.size == ref.krylov_dim == (1 if delta == 0.0 else tail[0].size + 1)
                 assert np.max(np.abs(a - ref.a)) <= tol
@@ -337,9 +340,9 @@ class TestPerturbedChain:
         levels = np.sort(np.random.default_rng(32).standard_normal(32))
         profile = CHASE_PROFILES["gaussian-underflow"](32)
         assert np.count_nonzero(perturbed_coefficients(32, 5, profile, 1.0) == 0.0) > 0
-        tail, (a, _, _) = _chase(levels, 5, profile, 0.05)
+        tail, rows = _chase(levels, 5, profile, 0.05)
         assert tail[0].size < 10
-        assert a.size == tail[0].size + 1
+        assert rows.shape[0] == tail[0].size + 1
 
     def test_gram_check(self):
         levels = np.sort(np.random.default_rng(32).standard_normal(32))
@@ -420,7 +423,7 @@ class TestGramResidual:
         levels = np.sort(np.random.default_rng(32).standard_normal(32))
         tail, _ = _chase(levels, 16, UniformComplement(), 0.05)
         a, b, rows = tail
-        assert perturbed_chain(a, b, rows, levels, 16, 0.5)[2].shape[0] == 32
+        assert perturbed_chain(a, b, rows, levels, 16, 0.5).shape[0] == 32
         skewed = rows.copy()
         skewed[-1] += 1e-8 * skewed[0]
         with pytest.raises(OrthogonalityLossError):
@@ -575,7 +578,7 @@ class TestSaturation:
         lan = lanczos_full_orth(ham, psi, spec=spec)
         rep = saturation(lan)
         assert rep.c_bar == 0.0
-        assert rep.q0n[0] == pytest.approx(1.0, abs=1e-12)
+        assert site_occupation(lan)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_exact(self, goe32):
         ham, spec = goe32
@@ -603,9 +606,10 @@ class TestSaturation:
         ham, spec = goe32
         psi = state_random(32, 8)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        rep = saturation(lan)
-        assert np.sum(rep.q0n) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(rep.q0n >= 0)
+        q0n = site_occupation(lan)
+        assert np.sum(q0n) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(q0n >= 0)
+        assert np.arange(32) @ q0n == pytest.approx(saturation(lan).c_bar, rel=1e-12)
         overlaps = lan.basis.T @ spec.eigenvectors
         assert np.allclose(np.sum(overlaps**2, axis=0), 1.0, atol=1e-10)
 
@@ -636,6 +640,25 @@ class TestSaturation:
         psi = state_random(3, 0)
         lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=True)
         assert np.isfinite(saturation(lan).c_bar)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        saturation,
+        lambda lan: complexity_values(lan, np.linspace(0.0, 10.0, 5)),
+        lambda lan: krylov_amplitudes(lan, np.linspace(0.0, 10.0, 5)),
+    ],
+    ids=["saturation", "complexity_values", "krylov_amplitudes"],
+)
+def test_eigenvalue_only_spectrum_is_refused(read):
+    # the run itself needs only the levels, but its readers need the eigenvectors:
+    # without them saturation read c_bar = 0 and complexity_values failed to broadcast
+    ham = build_goe(64, 5)
+    lan = lanczos_full_orth(ham, state_random(64, 6), eigendecompose(ham, vectors=False))
+    assert lan.krylov_dim == 64
+    with pytest.raises(ValueError, match=r"solve it with eigendecompose\(ham\)"):
+        read(lan)
 
 
 class TestTimeAverage:

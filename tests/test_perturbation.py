@@ -22,9 +22,11 @@ from kchaos.perturbation import OVERLAP_FLOOR, _complement_chain, _fit_sites
 from kchaos.states import perturbed_coefficients
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
+    chain_coefficients,
     fit_sites_reference,
     insert_route_chain,
     perturbed_reference,
+    site_occupation,
     state_perturbed,
 )
 
@@ -116,7 +118,7 @@ class TestOverlapScaling:
         delta = 0.02
         psi = state_perturbed(spec, j, UniformComplement(), delta)
         lan = lanczos_full_orth(ham, psi, spec=spec)
-        q0n = saturation(lan).q0n
+        q0n = site_occupation(lan)
         predicted = report.f_intercepts + 1.0 / (dim - 1)
         relative = np.abs(q0n[1:] / delta**2 - predicted) / predicted
         assert np.max(relative) <= 0.10
@@ -193,7 +195,8 @@ class TestAgainstMatrixBasis:
         tail = _complement_chain(spec, j, UniformComplement(), allow_degenerate=False)
         tol = 1e-8 * spec.spectral_range
         for delta in (1e-3, 0.05, 0.5):
-            a, b, rows = perturbed_chain(*tail, spec.eigenvalues, j, delta)
+            rows = perturbed_chain(*tail, spec.eigenvalues, j, delta)
+            a, b = chain_coefficients(rows, spec.eigenvalues)
             psi = state_perturbed(spec, j, UniformComplement(), delta)
             lan = lanczos_full_orth(ham, psi, spec)
             assert a.size == lan.krylov_dim == 256
@@ -232,11 +235,10 @@ def test_complement_rows_match_the_insert_route(dim, profile):
         tail = _complement_chain(spec, j, prof, allow_degenerate=False)
         assert tail[2].shape == (dim - 1, dim - 1)
         for delta in (0.0, 1e-3, 0.05, 0.5):
-            chain = perturbed_chain(*tail, spec.eigenvalues, j, delta)
+            rows = perturbed_chain(*tail, spec.eigenvalues, j, delta)
             reference = insert_route_chain(spec, j, prof, delta)
-            for got, ref in zip(chain, reference):
-                assert got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes()
+            assert rows.shape == reference.shape
+            assert rows.tobytes() == reference.tobytes()
 
 
 def test_previous_krylov_basis_released(levels32, monkeypatch):
