@@ -44,6 +44,7 @@ from .states import (
 from .sweeps import (
     MODELS,
     SweepConfig,
+    _bandwidth,
     _check_levels,
     _run_member,
     banded_hamiltonian,
@@ -190,7 +191,8 @@ def _model_from_args(args):
         return ham, f"ising N={args.n_spins} {args.sector} hz={args.hz:g}"
     if args.model == "banded":
         ham = banded_hamiltonian(args.dim, args.bandwidth_frac, args.k, args.seed)
-        return ham, f"banded D={args.dim} b={ham.meta['bandwidth']} k={args.k:g}"
+        bandwidth = _bandwidth(args.dim, args.bandwidth_frac)
+        return ham, f"banded D={args.dim} b={bandwidth} k={args.k:g}"
     return build_goe(args.dim, args.seed), f"goe D={args.dim}"
 
 
@@ -272,7 +274,7 @@ def _cmd_single_run(args) -> None:
     print(f"single-run [{tag}] state={state_kind}")
     print(f"  K = {lan.krylov_dim} / D = {ham.dim}   eta = {eta_val:.4f}")
     print(f"  c_bar = {rep.c_bar:.6g}   c_bar_norm = {rep.c_bar_normalized:.6g}")
-    if np.isfinite(sigma_a):  # nan when the chain is too short for the dispersion window
+    if np.isfinite(sigma_a):  # each sigma is nan when its sequence is too short for the window
         print(f"  sigma(a) = {sigma_a:.6g}   sigma(b) = {sigma_b:.6g}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ctypes
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -98,10 +98,9 @@ def _band_product(h: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Real symmetric matrix plus a descriptor of the model it came from."""
+    """A real symmetric matrix, applied through ``matvec``."""
 
     matrix: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -237,10 +236,10 @@ def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _as_hamiltonian(matrix: np.ndarray, meta: dict) -> Hamiltonian:
+def _as_hamiltonian(matrix: np.ndarray) -> Hamiltonian:
     matrix = _checked_symmetric(matrix)
     matrix.setflags(write=False)
-    return Hamiltonian(matrix=matrix, meta=meta)
+    return Hamiltonian(matrix=matrix)
 
 
 def _reflect(states: np.ndarray, n_spins: int) -> np.ndarray:
@@ -294,10 +293,7 @@ def build_ising_sector(n_spins: int, h_z: float, sector: str) -> Hamiltonian:
     palindromes.  Both sides of a palindrome entry are built from the one
     constant sqrt(2)/2, so the matrix is exactly symmetric.
     """
-    return _as_hamiltonian(
-        _ising_sector_matrix(n_spins, h_z, sector),
-        {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": sector},
-    )
+    return _as_hamiltonian(_ising_sector_matrix(n_spins, h_z, sector))
 
 
 def _ising_sector_matrix(n_spins: int, h_z: float, sector: str) -> np.ndarray:
@@ -377,16 +373,7 @@ def build_banded_random(dim: int, bandwidth: int, k: float, seed: int) -> Hamilt
         h *= k
     h.ravel()[:: dim + 1] += h0
     h /= np.sqrt(1.0 + k * k)
-    return _as_hamiltonian(
-        h,
-        {
-            "family": "banded",
-            "dim": dim,
-            "bandwidth": bandwidth,
-            "k": float(k),
-            "seed": int(seed),
-        },
-    )
+    return _as_hamiltonian(h)
 
 
 def build_goe(dim: int, seed: int) -> Hamiltonian:
@@ -397,7 +384,7 @@ def build_goe(dim: int, seed: int) -> Hamiltonian:
     a = rng.standard_normal((dim, dim))
     h = np.add(a, a.T, out=_aligned_empty((dim, dim)))
     h /= np.sqrt(2.0)
-    return _as_hamiltonian(h, {"family": "goe", "dim": dim, "seed": int(seed)})
+    return _as_hamiltonian(h)
 
 
 def _spectral_data(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> SpectralData:

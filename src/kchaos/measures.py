@@ -62,19 +62,16 @@ def sigma_moving(s: np.ndarray, cfg: DispersionConfig = DispersionConfig()) -> f
     The moving average runs over the full symmetric window [n-w, n+w]
     (2w+1 points, w = round(w_frac * len)); deviations are collected from
     n0 = max(round(n0_frac * len), w) up to the last index where the window
-    still fits.
+    still fits.  A sequence too short for that (w < 1, or no index in
+    [n0, len-1-w]) has no dispersion: the result is nan.
     """
     s = np.asarray(s, dtype=float)
     n_seq = s.shape[0]
     w = int(round(cfg.w_frac * n_seq))
-    if w < 1:
-        raise ValueError(
-            f"sequence of length {n_seq} too short for window fraction {cfg.w_frac}"
-        )
     n0 = max(int(round(cfg.n0_frac * n_seq)), w)
     last = n_seq - 1 - w
-    if n0 > last:
-        raise ValueError(f"window [{n0}, {last}] is empty; sequence too short")
+    if w < 1 or n0 > last:
+        return float("nan")
     kernel = np.ones(2 * w + 1) / (2 * w + 1)
     smoothed = np.convolve(s, kernel, mode="valid")  # index n-w of s maps to n
     centers = np.arange(w, n_seq - w)

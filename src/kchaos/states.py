@@ -15,8 +15,6 @@ import numpy as np
 
 from .hamiltonians import ParityBasis, SpectralData
 
-NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GaussianProfile:
@@ -42,10 +40,8 @@ class UniformComplement:
 
 
 def _make_state(amplitudes: np.ndarray) -> np.ndarray:
+    """The unit vector a constructor built, made read-only."""
     amplitudes = np.asarray(amplitudes)
-    norm = np.linalg.norm(amplitudes)
-    if abs(norm - 1.0) > NORM_TOL:
-        amplitudes = amplitudes / norm
     amplitudes.setflags(write=False)
     return amplitudes
 

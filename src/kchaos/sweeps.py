@@ -224,11 +224,15 @@ def _check_bandwidth_frac(bandwidth_frac: float) -> None:
         raise ConfigError(f"bandwidth_frac must be in (0, 1], got {bandwidth_frac:g}")
 
 
+def _bandwidth(dim: int, bandwidth_frac: float) -> int:
+    """``bandwidth_frac * dim`` rounded, clipped to [1, dim - 1]."""
+    return max(1, min(dim - 1, round(bandwidth_frac * dim)))
+
+
 def banded_hamiltonian(dim: int, bandwidth_frac: float, k: float, seed: int) -> Hamiltonian:
-    """Banded model at coupling ``k`` with bandwidth ``bandwidth_frac * dim``, rounded."""
+    """Banded model at coupling ``k`` with bandwidth ``_bandwidth(dim, bandwidth_frac)``."""
     _check_bandwidth_frac(bandwidth_frac)
-    bandwidth = max(1, min(dim - 1, round(bandwidth_frac * dim)))
-    return build_banded_random(dim, bandwidth, k, seed)
+    return build_banded_random(dim, _bandwidth(dim, bandwidth_frac), k, seed)
 
 
 def _check_levels(dim: int, spectrum: str) -> int:
@@ -363,17 +367,10 @@ def _run_member(
     allow_degenerate: bool,
 ) -> tuple[LanczosResult, SaturationReport, float, float]:
     """One Krylov member: its Lanczos run, its saturation, and sigma(a) and
-    sigma(b), both nan when the chain is too short for the dispersion window."""
+    sigma(b), each nan when its sequence is too short for the dispersion
+    window (b is one entry shorter than a)."""
     lan = lanczos_full_orth(ham, psi, spec=spec, allow_degenerate=allow_degenerate)
-    rep = saturation(lan)
-    try:
-        sigma_a = sigma_moving(lan.a, dispersion)
-        sigma_b = sigma_moving(lan.b, dispersion)
-    except ValueError:
-        # a halted run (eigenstate-like seed) has no usable Lanczos sequence;
-        # it still contributes its saturation but not a dispersion value
-        sigma_a = sigma_b = float("nan")
-    return lan, rep, sigma_a, sigma_b
+    return lan, saturation(lan), sigma_moving(lan.a, dispersion), sigma_moving(lan.b, dispersion)
 
 
 def _stats_from_rows(rows: list[tuple[float, float, float]]) -> list[float]:

@@ -68,9 +68,7 @@ def build_ising_full(n_spins, h_z):
     for site in range(n_spins):
         flipped = idx ^ (1 << (n_spins - 1 - site))
         h[idx, flipped] += 1.0
-    return _as_hamiltonian(
-        h, {"family": "ising", "n_spins": n_spins, "h_z": float(h_z), "sector": None}
-    )
+    return _as_hamiltonian(h)
 
 
 def _weights(basis):
@@ -120,9 +118,7 @@ def project_to_sector(ham, basis):
     hp = h[:, reps] * w_rep + h[:, partners] * w_par
     hs = w_rep[:, None] * hp[reps, :] + w_par[:, None] * hp[partners, :]
     hs = 0.5 * (hs + hs.T)
-    meta = dict(ham.meta)
-    meta["sector"] = basis.sector
-    return _as_hamiltonian(hs, meta)
+    return _as_hamiltonian(hs)
 
 
 def lanczos_reference(ham, psi0, spec):
@@ -355,7 +351,7 @@ def assert_lanczos_structure(ham, spec, lan, expect_full=True):
 
 def hamiltonian_from_matrix(matrix):
     """Wrap an externally built symmetric matrix (copied, caller keeps ownership)."""
-    return _as_hamiltonian(np.array(matrix, dtype=float), {"family": "custom"})
+    return _as_hamiltonian(np.array(matrix, dtype=float))
 
 
 def bincount_matvec(matrix):

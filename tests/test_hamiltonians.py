@@ -63,7 +63,8 @@ class TestIsingFull:
     def test_large_chain_instance(self):
         ham = build_ising_full(13, 1.02)
         assert ham.dim == 8192
-        assert ham.meta["h_z"] == 1.02
+        # all up: the field gives 13 h_z, the 12 bonds -12
+        assert ham.matrix[0, 0] == pytest.approx(13 * 1.02 - 12)
 
     def test_symmetry_invariant(self):
         for n, h_z in [(3, 0.7), (5, 1.02), (6, 4.0)]:
@@ -166,7 +167,6 @@ class TestIsingSector:
             assert np.max(np.abs(ham.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(ham.matrix != 0, ref != 0)
             assert np.array_equal(ham.matrix, ham.matrix.T)
-            assert ham.meta == {"family": "ising", "n_spins": n, "h_z": h_z, "sector": sector}
 
     def test_two_spin_hand_oracle(self):
         # uu, (ud+du)/sqrt2, dd: the pair couples to each palindrome by sqrt2;
@@ -265,7 +265,10 @@ class TestBandedRandom:
     def test_reference_configuration(self):
         ham = build_banded_random(1024, 204, 0.5, 0)
         assert ham.dim == 1024
-        assert ham.meta["bandwidth"] == 204
+        # the band reaches |i - j| = 204 and no further
+        i, j = np.nonzero(ham.matrix)
+        assert np.max(np.abs(i - j)) == 204
+        assert np.all(np.diagonal(ham.matrix, 204) != 0.0)
 
 
 class TestGOE:

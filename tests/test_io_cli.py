@@ -51,6 +51,9 @@ REJECTED_CONFIGS = {
     "bogus-scale.cfg": "model = ising\nparam_scale = bogus\n",
     "scale-values.cfg": "model = ising\nparam_values = 0.5,1\nparam_scale = linear\n",
     "scale.cfg": "model = ising\nparam_scale = linear\n",
+    "nan-grid.cfg": "model = ising\nn_spins = 4\neigen_count = 4\nparam_values = nan\n",
+    "maybe-degenerate.cfg": "model = ising\nallow_degenerate = maybe\n",
+    "ten-spins.cfg": "model = ising\nn_spins = ten\n",
 }
 
 
@@ -152,6 +155,11 @@ class TestConfigParsing:
         assert cfg.families[3].count == 12
         assert cfg.dispersion.w_frac == 0.03
         assert cfg.allow_degenerate and cfg.threads == 2
+
+    def test_allow_degenerate_no(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("model = ising\nallow_degenerate = no\n")
+        assert parse_config(path).allow_degenerate is False
 
     def test_explicit_param_values(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -646,6 +654,21 @@ class TestCli:
                 ["ising-sweep", "--config", "scale.cfg"],
                 "incomplete grid settings; missing: param_max, param_min, param_points",
             ),
+            (["ising-sweep", "--config", "nan-grid.cfg"], "param_grid must be finite"),
+            (
+                ["ising-sweep", "--config", "maybe-degenerate.cfg"],
+                "key allow_degenerate: expected a boolean",
+            ),
+            (["ising-sweep", "--config", "ten-spins.cfg"], "key n_spins: invalid literal"),
+            # --eigen-count 4: without it the default eigenstate count stops both first
+            (
+                ["banded-sweep", "--dim", "16", "--eigen-count", "4", "--realizations", "0"],
+                "realizations must be >= 1",
+            ),
+            (
+                ["ising-sweep", "--n-spins", "4", "--eigen-count", "4", "--threads", "0"],
+                "threads must be >= 1",
+            ),
             (
                 ["ising-sweep", "--n-spins", "1", "--hz-min", "1", "--hz-max", "2"]
                 + ["--hz-points", "2", "--families", "uniform"],
@@ -729,6 +752,11 @@ class TestCli:
             "bogus-scale-config",
             "scale-with-values-config",
             "scale-without-bounds-config",
+            "nan-grid-config",
+            "allow-degenerate-maybe-config",
+            "n-spins-ten-config",
+            "realizations-0",
+            "threads-0",
             "n-spins-1",
             "n-eta-1",
             "banded-dim-2",
@@ -800,6 +828,13 @@ class TestCli:
         assert "c_bar" in out
         assert "sigma(" not in out
 
+    def test_single_run_prints_sigma_a_when_only_b_is_too_short(self, tmp_path, capsys):
+        # at D=21 the 21 a's hold a 1-wide window, the 20 b's none
+        assert main(["single-run", "--model", "goe", "--dim", "21", "--out", str(tmp_path)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("  sigma(a) = ")
+        assert last.endswith("   sigma(b) = nan")
+
 
 # every sweep flag, set away from its default, and the .meta.txt line it gives
 SHARED_FLAGS = [
@@ -852,6 +887,17 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_config_example_parses(tmp_path):
+    """The README's ``run.cfg`` example is a valid config with a linear grid."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n# run.cfg\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.cfg"
+    path.write_text(block)
+    cfg = parse_config(path)
+    assert np.array_equal(cfg.param_grid, np.linspace(0.25, 4.0, 16))
+    assert [f.label for f in cfg.families] == ["all_up", "uniform", "random", "eig4", "eig0"]
 
 
 def test_readme_library_sketch_runs():

@@ -92,8 +92,11 @@ class TestSigmaMoving:
         )
 
     def test_too_short_for_window(self):
-        with pytest.raises(ValueError, match="short"):
-            sigma_moving(np.arange(10.0))
+        # w = round(0.025 * 10) = 0: no window
+        assert np.isnan(sigma_moving(np.arange(10.0)))
+        # w = 1, but n0 = round(0.95 * 21) = 20 lies past the last center 19
+        cfg = DispersionConfig(n0_frac=0.95)
+        assert np.isnan(sigma_moving(np.arange(21.0), cfg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import kchaos.perturbation
 from kchaos import (
     GaussianProfile,
     UniformComplement,
@@ -68,6 +69,30 @@ class TestBoundSweep:
             sweep = run_bound_sweep(levels32, 16, profile, deltas)
             assert np.all(sweep.c_bar <= sweep.bound)
             assert sweep.delta_ok_up_to == 0.1
+
+    @pytest.mark.parametrize("fails_from", [0, 2], ids=["first-delta", "third-delta"])
+    def test_delta_ok_up_to_when_the_bound_fails(self, levels32, monkeypatch, fails_from):
+        # c_bar > 0 at every delta > 0, so a zero bound fails from fails_from on
+        deltas = np.array([0.01, 0.02, 0.05, 0.1])
+        real = kchaos.perturbation.bound_rhs
+        monkeypatch.setattr(
+            kchaos.perturbation,
+            "bound_rhs",
+            lambda dim, delta: 0.0 if delta >= deltas[fails_from] else real(dim, delta),
+        )
+        sweep = run_bound_sweep(levels32, 16, UniformComplement(), deltas)
+        holds = sweep.c_bar <= sweep.bound
+        assert list(holds) == [i < fails_from for i in range(4)]
+        if fails_from == 0:
+            assert np.isnan(sweep.delta_ok_up_to)
+        else:
+            assert sweep.delta_ok_up_to == deltas[fails_from - 1]
+
+    def test_cli_reports_a_bound_that_never_holds(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(kchaos.perturbation, "bound_rhs", lambda dim, delta: 0.0)
+        argv = ["bound-sweep", "--model", "banded", "--dim", "32", "--delta-points", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("bound holds up to delta = nan\n")
 
     def test_saturation_monotone_for_uniform_complement(self):
         # empirical behavior on this seeded instance; not a theorem, but a

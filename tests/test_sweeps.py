@@ -7,6 +7,7 @@ import pytest
 import kchaos.sweeps
 from kchaos import (
     ConfigError,
+    DispersionConfig,
     Family,
     SweepConfig,
     build_banded_random,
@@ -18,6 +19,8 @@ from kchaos import (
     r_ratio_mean,
     run_banded_sweep,
     run_ising_sweep,
+    sigma_moving,
+    state_uniform_eigenbasis,
 )
 
 HZ_GRID = np.array([0.3, 1.0, 3.0])
@@ -73,6 +76,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="needs an integer count"):
             Family("random", count=count)
 
+    @pytest.mark.parametrize(
+        "kind, fields, match",
+        [
+            ("uniform", {"count": 2}, "the uniform family needs count = 1, got 2"),
+            ("random", {"ref_param": 1.0}, "the random family takes no ref_param, got 1"),
+        ],
+        ids=["uniform-count-2", "random-ref-param"],
+    )
+    def test_family_field_its_kind_does_not_take(self, kind, fields, match):
+        with pytest.raises(ConfigError, match=match):
+            Family(kind, **fields)
+
     def test_duplicate_labels(self):
         with pytest.raises(ConfigError, match="duplicate"):
             SweepConfig(model="ising", families=(Family("all_up"), Family("all_up")))
@@ -120,6 +135,20 @@ class TestSeedDerivation:
         assert derive_seed(3, "matrix", 0) != derive_seed(3, "random-state", 0)
 
 
+class TestRunMember:
+    def test_sigma_a_survives_a_too_short_b(self):
+        # a 21-site chain holds a 1-wide window for its 21 a's, none for its 20 b's
+        ham = build_goe(21, 0)
+        spec = eigendecompose(ham)
+        psi = state_uniform_eigenbasis(spec)
+        lan, _, sigma_a, sigma_b = kchaos.sweeps._run_member(
+            ham, spec, psi, DispersionConfig(), allow_degenerate=False
+        )
+        assert lan.krylov_dim == 21
+        assert np.isfinite(sigma_a) and sigma_a == sigma_moving(lan.a)
+        assert np.isnan(sigma_b)
+
+
 class TestIsingSweep:
     def test_record_fields_and_uniform_exactness(self):
         sweep = run_ising_sweep(small_ising_cfg())
@@ -144,14 +173,24 @@ class TestIsingSweep:
         assert np.array_equal(serial.rows, threaded.rows, equal_nan=True)
 
     def test_degenerate_point_skipped_with_warning(self, monkeypatch, caplog):
+        real_build = kchaos.sweeps.build_ising_sector
         real_eigendecompose = kchaos.sweeps.eigendecompose
+        # the Hamiltonians built at h_z = 1, by the argument the builder got
+        at_one = []
+
+        def build(n_spins, h_z, sector):
+            ham = real_build(n_spins, h_z, sector)
+            if h_z == 1.0:
+                at_one.append(ham)
+            return ham
 
         def flag_at_one(ham, *args, **kwargs):
             spec = real_eigendecompose(ham, *args, **kwargs)
-            if ham.meta.get("h_z") == 1.0:
+            if any(ham is h for h in at_one):
                 spec = dataclasses.replace(spec, near_degenerate=True)
             return spec
 
+        monkeypatch.setattr(kchaos.sweeps, "build_ising_sector", build)
         monkeypatch.setattr(kchaos.sweeps, "eigendecompose", flag_at_one)
         with caplog.at_level(logging.WARNING, logger="kchaos.sweeps"):
             sweep = run_ising_sweep(small_ising_cfg())
