@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import numbers
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -267,6 +267,14 @@ def _check_banded(cfg: SweepConfig) -> int:
     return _check_levels(cfg.dim, f"a dim = {cfg.dim} matrix")
 
 
+def _banded_realizations(cfg: SweepConfig, k: float, first: int = 0) -> Iterator[Hamiltonian]:
+    """Realizations ``first`` to ``cfg.realizations - 1`` at coupling ``k``,
+    each built only when asked for.  Realization r draws one (H0, V) pair
+    traced through the whole grid."""
+    for r in range(first, cfg.realizations):
+        yield banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, derive_seed(cfg.seed, "matrix", r))
+
+
 def _ising_eta_levels(cfg: SweepConfig, h_z: float) -> list[np.ndarray] | None:
     """Levels of the n_eta chain at ``h_z``; None when it is the sweep's own chain."""
     if cfg.n_eta == cfg.n_spins:
@@ -279,6 +287,8 @@ def _ising_eta_levels(cfg: SweepConfig, h_z: float) -> list[np.ndarray] | None:
 class _Model:
     """A sweep model as ``sweeps``, ``io`` and ``cli`` read it; one entry of MODELS.
 
+    ``hamiltonians`` gives the realizations at one grid point, in order;
+    the sweep solves and runs each one before it asks for the next.
     ``check`` validates the model's own SweepConfig fields and returns the
     dimension of the sweep spectrum.  ``own_family`` is the family kind only
     this model runs, if any.  ``eta_levels`` gives the levels of the eta curve
@@ -292,7 +302,7 @@ class _Model:
     grid: np.ndarray
     families: str
     eigen_count: int
-    hamiltonians: Callable[[SweepConfig, float], list[Hamiltonian]]
+    hamiltonians: Callable[[SweepConfig, float], Iterable[Hamiltonian]]
     check: Callable[[SweepConfig], int]
     own_family: str | None
     eta_levels: Callable[[SweepConfig, float], list[np.ndarray] | None] | None
@@ -310,12 +320,7 @@ MODELS = {
     "banded": _Model(
         "k", "k", "banded-model k sweep", np.geomspace(5e-4, 2.0, 20),
         "border,eig_ref@0,random,uniform", 20,
-        # each realization draws one (H0, V) pair traced through the whole grid
-        lambda cfg, k: [
-            banded_hamiltonian(cfg.dim, cfg.bandwidth_frac, k, derive_seed(cfg.seed, "matrix", r))
-            for r in range(cfg.realizations)
-        ],
-        _check_banded, "border", None,
+        _banded_realizations, _check_banded, "border", None,
     ),
 }
 
@@ -332,12 +337,17 @@ def _lookup_model(name: str) -> _Model:
 
 def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, np.ndarray]] | None]:
     """The (realization, state) pairs each family runs at every grid point;
-    None for the current-basis uniform family, rebuilt at each point.  The
-    reference spectra are released before the point loop."""
+    None for the current-basis uniform family, rebuilt at each point.
+
+    The reference spectra are solved one realization at a time, and each is
+    released once its states are taken.  Only realization 0's spectrum at the
+    last reference parameter is kept, so ``border`` and an ``eig_ref`` at the
+    same parameter share one solve; it is released before the point loop.
+    """
     model = MODELS[cfg.model]
-    # the spectra of every realization at one reference parameter at a time
-    hamiltonians = model.hamiltonians
-    reference = lru_cache(maxsize=1)(lambda p: [eigendecompose(h) for h in hamiltonians(cfg, p)])
+    reference = lru_cache(maxsize=1)(
+        lambda p: eigendecompose(next(iter(model.hamiltonians(cfg, p))))
+    )
     members = {}
     for fam in cfg.families:
         if fam.kind == "all_up":
@@ -349,9 +359,13 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, np.ndarray]] |
                 for i in range(fam.count)
             ]
         elif fam.kind == "border":
-            pairs = [(r, state_eigenstate(spec, 0)) for r, spec in enumerate(reference(0.0))]
+            # each later realization keeps its ground state only; map binds no
+            # H while the next one is built
+            rest = _banded_realizations(cfg, 0.0, first=1)
+            ground = map(lambda h: state_eigenstate(eigendecompose(h), 0), rest)
+            pairs = [(0, state_eigenstate(reference(0.0), 0)), *enumerate(ground, 1)]
         elif fam.kind == "eig_ref":
-            spec = reference(fam.ref_param)[0]
+            spec = reference(fam.ref_param)
             pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
         else:
             pairs = None
@@ -391,43 +405,56 @@ def _sweep(cfg: SweepConfig, model_name: str) -> SweepTable:
     """The one point loop, threaded over points when asked, in grid order,
     with the normalized columns filled.
 
+    A point builds, solves and runs one realization at a time and releases
+    its H and eigenvectors before the next is built, so its memory does not
+    grow with ``realizations``.  Each family's rows stay in realization order.
     Points where any realization is flagged near-degenerate are skipped with
-    a logged warning.
+    a logged warning; no member runs from the flagged realization on.
     """
     if cfg.model != model_name:
         raise ConfigError(f"run_{model_name}_sweep requires model = {model_name}")
     model = MODELS[model_name]
     fixed = _fixed_members(cfg)
 
+    def run_members(r: int, ham: Hamiltonian, spec: SpectralData, rows: dict) -> None:
+        """Append the cells of every member on realization ``r`` to its family's rows."""
+        for fam in cfg.families:
+            members = fixed[fam.label] or [(r, state_uniform_eigenbasis(spec))]
+            for psi in [psi for m, psi in members if m == r]:
+                # the slice drops the run, so no Krylov basis outlives its member
+                rep, sigma_a, sigma_b = _run_member(
+                    ham, spec, psi, cfg.dispersion, cfg.allow_degenerate
+                )[1:]
+                rows[fam.label].append((rep.c_bar_normalized, 1.0 / sigma_a, 1.0 / sigma_b))
+
     def point(i: int) -> list[float] | None:
         param = float(cfg.param_grid[i])
-        hams = model.hamiltonians(cfg, param)
-        specs = [eigendecompose(h) for h in hams]
-        if any(s.near_degenerate for s in specs) and not cfg.allow_degenerate:
+        levels, spacings, skip = [], [], False
+        rows = {fam.label: [] for fam in cfg.families}
+        for r, ham in enumerate(model.hamiltonians(cfg, param)):
+            spec = eigendecompose(ham)
+            levels.append(spec.eigenvalues)
+            spacings.append(spec.min_spacing)
+            # a flagged realization stops the members; the later ones are still
+            # solved, for the minimum spacing the warning prints
+            skip = skip or (spec.near_degenerate and not cfg.allow_degenerate)
+            if not skip:
+                run_members(r, ham, spec, rows)
+            # release H and its eigenvectors before the next realization is built
+            del ham, spec
+        if skip:
             log.warning(
                 "skipping %s=%g: near-degenerate spectrum (min spacing %.3e)",
                 model.param_name,
                 param,
-                min(s.min_spacing for s in specs),
+                min(spacings),
             )
             return None
-        levels = model.eta_levels(cfg, param) if model.eta_levels else None
-        if levels is None:
-            levels = [s.eigenvalues for s in specs]
-        eta_val = float(np.mean([eta(r_ratio_mean(e)) for e in levels]))
+        eta_levels = model.eta_levels(cfg, param) if model.eta_levels else None
+        eta_val = float(np.mean([eta(r_ratio_mean(e)) for e in eta_levels or levels]))
         row = [param, eta_val]
         for fam in cfg.families:
-            members = fixed[fam.label]
-            if members is None:
-                members = [(r, state_uniform_eigenbasis(s)) for r, s in enumerate(specs)]
-            rows = []
-            for r, psi in members:
-                # the slice drops the run, so no Krylov basis outlives its member
-                rep, sigma_a, sigma_b = _run_member(
-                    hams[r], specs[r], psi, cfg.dispersion, cfg.allow_degenerate
-                )[1:]
-                rows.append((rep.c_bar_normalized, 1.0 / sigma_a, 1.0 / sigma_b))
-            row += _stats_from_rows(rows)
+            row += _stats_from_rows(rows[fam.label])
         return row
 
     indices = range(cfg.param_grid.shape[0])
@@ -460,7 +487,9 @@ def run_banded_sweep(cfg: SweepConfig) -> SweepTable:
     Each realization draws one (H0, V) pair that is traced through the whole
     grid.  Border and uniform families, one state per realization, are
     averaged over realizations; random and reference-eigenstate families use
-    realization 0 only, averaging over their member states.
+    realization 0 only, averaging over their member states.  A point holds
+    one realization's H and eigenvectors at a time, so ``realizations``
+    multiplies its time, not its memory.
     """
     return _sweep(cfg, "banded")
 

@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 import warnings
 
@@ -241,6 +242,20 @@ class TestBandedRandom:
         with pytest.raises(ValueError):
             build_banded_random(16, 16, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: build_banded_random(1, 1, 1.0, 0), "dim must be >= 2"),
+            (lambda: build_banded_random(16, 3, np.nan, 0), "k must be finite, got nan"),
+            (lambda: build_banded_random(16, 3, -0.5, 0), "k must be >= 0"),
+            (lambda: build_goe(1, 0), "dim must be >= 2"),
+        ],
+        ids=["banded-dim-1", "banded-k-nan", "banded-k-negative", "goe-dim-1"],
+    )
+    def test_builder_argument_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     @pytest.mark.parametrize("k", [0.0, 0.3, 2.0])
     @pytest.mark.parametrize("dim", [2, 3, 64, 300])
     def test_matches_whole_matrix_oracle_bit_for_bit(self, dim, k):
@@ -342,6 +357,13 @@ class TestEigendecompose:
         same = levels.min_spacing == full.min_spacing
         assert same or abs(levels.min_spacing - full.min_spacing) <= 1e-12 * scale
         assert np.max(np.abs(levels.eigenvalues - full.eigenvalues)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros((2, 3)), np.zeros(4)], ids=["two-by-three", "one-dimensional"]
+    )
+    def test_rejects_non_square(self, matrix):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            hamiltonian_from_matrix(matrix)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -509,6 +531,14 @@ class TestTwoStageRoute:
         ham = build_goe(64, 9)
         levels = eigendecompose(ham, vectors=False).eigenvalues
         assert np.array_equal(levels, np.linalg.eigvalsh(ham.matrix))
+
+    def test_no_loadable_library_gives_no_solver(self, monkeypatch):
+        def unloadable(name, *args, **kwargs):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        # the uncached lookup, which tries every bundled OpenBLAS
+        assert _two_stage_solver.__wrapped__() is None
 
     @needs_two_stage
     def test_solve_leaves_the_matrix_alone(self, monkeypatch):

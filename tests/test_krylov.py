@@ -697,3 +697,11 @@ def test_default_time_grid_shape():
     assert np.all(np.diff(grid) > 0)
     heisenberg = 2 * np.pi * 63 / 10.0
     assert grid[-1] == pytest.approx(10 * heisenberg)
+
+
+@pytest.mark.parametrize(
+    "spectral_range, dim", [(0.0, 64), (10.0, 1)], ids=["zero-range", "dim-1"]
+)
+def test_default_time_grid_needs_a_range_and_two_levels(spectral_range, dim):
+    with pytest.raises(ValueError, match="need spectral_range > 0 and dim >= 2"):
+        default_time_grid(spectral_range, dim)

@@ -135,6 +135,15 @@ class TestNormalizeToEta:
         with pytest.raises(ValueError, match="constant"):
             normalize_to_eta(np.full(25, 2.0), self.eta_ref)
 
+    @pytest.mark.parametrize(
+        "x, eta_ref",
+        [(np.arange(3.0), np.arange(4.0)), ([1.0], [0.5])],
+        ids=["unequal-lengths", "length-1"],
+    )
+    def test_needs_equal_lengths_of_two_or_more(self, x, eta_ref):
+        with pytest.raises(ValueError, match="equal-length vectors of length >= 2"):
+            normalize_to_eta(x, eta_ref)
+
 
 class TestSpearman:
     def test_monotone(self):

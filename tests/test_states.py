@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from kchaos import (
     state_random,
     state_uniform_eigenbasis,
 )
+from kchaos.states import perturbed_coefficients
 from oracles import embed, energy_coefficients, hamiltonian_from_matrix, state_perturbed
 
 
@@ -37,6 +40,15 @@ class TestAllUp:
     def test_odd_sector_rejected(self):
         with pytest.raises(ValueError, match="even"):
             state_all_up(parity_basis(3, "odd"))
+
+    @pytest.mark.parametrize("keep", [slice(1, None), slice(0, 0)], ids=["without-0", "empty"])
+    def test_basis_without_the_all_up_representative(self, keep):
+        basis = parity_basis(3, "even")
+        basis = dataclasses.replace(
+            basis, representatives=basis.representatives[keep], palindrome=basis.palindrome[keep]
+        )
+        with pytest.raises(ValueError, match="does not contain the all-up representative"):
+            state_all_up(basis)
 
 
 class TestUniform:
@@ -154,6 +166,10 @@ class TestPerturbed:
         spec1 = eigendecompose(hamiltonian_from_matrix(np.array([[1.0]])))
         with pytest.raises(ValueError, match="vanishes"):
             state_perturbed(spec1, 0, UniformComplement(), 0.1)
+
+    def test_unsupported_profile_type(self):
+        with pytest.raises(TypeError, match="unsupported tilde profile: 'uniform'"):
+            perturbed_coefficients(8, 0, "uniform", 0.1)
 
 
 class TestSelectCenter:

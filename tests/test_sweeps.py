@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,61 @@ class TestBandedSweep:
         threaded = run_banded_sweep(small_banded_cfg(threads=2))
         assert serial.header == threaded.header
         assert np.array_equal(serial.rows, threaded.rows, equal_nan=True)
+
+    def test_point_memory_does_not_grow_with_realizations(self):
+        # a point holds one realization's H and eigenvectors at a time; holding
+        # all of them adds 2 x 8 D^2 per realization
+        families = kchaos.sweeps.parse_families("banded", "border,eig_ref@0,random,uniform", 2, 2)
+
+        def peak(realizations):
+            cfg = small_banded_cfg(
+                dim=256, realizations=realizations, param_grid=np.array([0.1]), families=families
+            )
+            tracemalloc.start()
+            try:
+                run_banded_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the first sweep's lazy allocations would inflate a cold R = 1 peak
+        peak(1)
+        assert peak(8) < 1.25 * peak(1)
+
+    def test_flag_on_a_later_realization_skips_the_point(self, monkeypatch, caplog):
+        real_eigendecompose = kchaos.sweeps.eigendecompose
+        real_run_member = kchaos.sweeps._run_member
+        # the point's Hamiltonians in solve order, and the realization of every member run
+        solved, ran_on = [], []
+
+        def flag_third(ham, *args, **kwargs):
+            spec = real_eigendecompose(ham, *args, **kwargs)
+            solved.append(ham)
+            if len(solved) == 3:
+                spec = dataclasses.replace(spec, near_degenerate=True)
+            if len(solved) == 4:
+                spec = dataclasses.replace(spec, min_spacing=1e-30)
+            return spec
+
+        def run_member(ham, *args, **kwargs):
+            ran_on.append(next(r for r, h in enumerate(solved) if h is ham))
+            return real_run_member(ham, *args, **kwargs)
+
+        monkeypatch.setattr(kchaos.sweeps, "eigendecompose", flag_third)
+        monkeypatch.setattr(kchaos.sweeps, "_run_member", run_member)
+        # neither family solves a reference spectrum, so every solve is one of the point's
+        cfg = small_banded_cfg(
+            realizations=4,
+            param_grid=np.array([0.1]),
+            families=(Family("random", count=2), Family("uniform")),
+        )
+        with caplog.at_level(logging.WARNING, logger="kchaos.sweeps"):
+            sweep = run_banded_sweep(cfg)
+        assert len(sweep.rows) == 0
+        assert len(solved) == 4
+        assert "skipping k=0.1: near-degenerate spectrum (min spacing 1.000e-30)" in caplog.messages
+        # two random members and one uniform on realization 0, one uniform on 1
+        assert ran_on == [0, 0, 0, 1]
 
 
 class TestPostprocess:
