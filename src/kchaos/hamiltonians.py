@@ -4,10 +4,12 @@ Two families are provided: an open Ising chain with a tilted magnetic field
 (restricted to a reflection-parity sector) and a banded random-matrix model
 interpolating between Poisson and GOE level statistics.  Every matrix is real
 symmetric and stored dense, applied through its band or its nonzeros.  The
-Lanczos runs need the full eigenbasis, so matrices are diagonalized directly;
-callers that read only the levels solve for the eigenvalues alone, and the
-levels of a sector that no Hamiltonian holds are solved in the storage of
-their own build.
+Lanczos runs need the full eigenbasis, so matrices are diagonalized directly
+by LAPACK's divide and conquer (``dsyevd``) on one copy of H, which becomes
+the eigenvectors; callers that read only the levels solve for the eigenvalues
+alone, and the levels of a sector that no Hamiltonian holds are solved in the
+storage of their own build.  The LAPACK routines are those of the OpenBLAS
+numpy bundles; where it exports none, numpy's ``eigh`` and ``eigvalsh`` solve.
 """
 
 from __future__ import annotations
@@ -403,23 +405,40 @@ def _spectral_data(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Spectra
     )
 
 
-@cache
-def _two_stage_solver() -> Callable | None:
-    """``LAPACKE_dsyevd_2stage`` of the ILP64 OpenBLAS that numpy bundles,
-    or None where numpy ships none that exports it (Accelerate, distro or
-    conda builds).  The library is the one numpy already has loaded."""
+def _lapacke_routine(name: str) -> Callable | None:
+    """``LAPACKE_<name>`` of the ILP64 OpenBLAS that numpy bundles, typed as
+    (layout, jobz, uplo, n, a, lda, w) -> info with 64-bit integers, or None
+    where numpy ships none that exports it (Accelerate, distro or conda
+    builds).  The library is the one numpy already has loaded."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
     for lib in libs:
         try:
-            solve = ctypes.CDLL(str(lib)).scipy_LAPACKE_dsyevd_2stage64_
+            solve = getattr(ctypes.CDLL(str(lib)), f"scipy_LAPACKE_{name}64_")
         except (OSError, AttributeError):
             continue
-        # (layout, jobz, uplo, n, a, lda, w) -> info, with 64-bit integers
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
         solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
         solve.restype = i64
         return solve
     return None
+
+
+@cache
+def _two_stage_solver() -> Callable | None:
+    """``LAPACKE_dsyevd_2stage``, the eigenvalue-only route; see ``_lapacke_routine``."""
+    return _lapacke_routine("dsyevd_2stage")
+
+
+@cache
+def _vectors_solver() -> Callable | None:
+    """``LAPACKE_dsyevd``, the eigenvector route; see ``_lapacke_routine``."""
+    return _lapacke_routine("dsyevd")
+
+
+def _lapack_shape(matrix: np.ndarray) -> bool:
+    """Whether the real routines can read ``matrix``: a square float64 array.
+    numpy takes (or refuses) anything else."""
+    return matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1] and matrix.dtype == np.float64
 
 
 def _eigvalsh(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -431,9 +450,7 @@ def _eigvalsh(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
     ``np.linalg.eigvalsh`` copies internally whatever ``overwrite`` says."""
     dim = matrix.shape[0]
     solve = _two_stage_solver() if dim >= TWO_STAGE_MIN_DIM else None
-    # numpy takes (or refuses) what the real routine cannot: a non-square or
-    # non-float64 array
-    if solve is None or matrix.shape != (dim, dim) or matrix.dtype != np.float64:
+    if solve is None or not _lapack_shape(matrix):
         return np.linalg.eigvalsh(matrix)
     work = matrix if overwrite else matrix.copy(order="C")
     levels = np.empty(dim)
@@ -441,6 +458,31 @@ def _eigvalsh(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"eigensolver failed: dsyevd_2stage returned info = {info}")
     return levels
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and C-order eigenvectors (one per column) of a
+    symmetric matrix, bit for bit those of ``np.linalg.eigh``, which solves
+    them where numpy bundles no ``LAPACKE_dsyevd``.
+
+    The real routine works on one copy of ``matrix``, written column-major
+    so that LAPACK reads the lower triangle numpy's ``eigh`` reads, and
+    leaves V there column-major.  The in-place transpose that makes it C
+    order runs once LAPACK has freed its 2 D^2 workspace, so the transient
+    copy numpy buffers for it never sits beside that workspace.
+    """
+    solve = _vectors_solver()
+    if solve is None or not _lapack_shape(matrix):
+        return np.linalg.eigh(matrix)
+    dim = matrix.shape[0]
+    work = _aligned_empty((dim, dim))
+    work[...] = matrix.T
+    levels = np.empty(dim)
+    info = solve(_LAPACK_COL_MAJOR, b"V", b"L", dim, work.ctypes.data, dim, levels.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"eigensolver failed: dsyevd returned info = {info}")
+    work[...] = work.T
+    return levels, work
 
 
 @contextmanager
@@ -459,6 +501,12 @@ def eigendecompose(ham: Hamiltonian, vectors: bool = True) -> SpectralData:
     spacing below it sets the ``near_degenerate`` flag, which makes
     downstream Lanczos runs refuse the spectrum unless overridden.
 
+    With ``vectors`` (see ``_eigh``) the solve holds H, one D x D array that
+    becomes the C-order eigenvectors, and LAPACK's 2 D^2 workspace: 4 x 8 D^2
+    bytes at its peak.  ``np.linalg.eigh``, the fallback where numpy bundles
+    no ``LAPACKE_dsyevd``, gives the same levels and vectors bit for bit but
+    holds a separate output array beside its own copy of H: 5 x 8 D^2.
+
     ``vectors=False`` solves for the eigenvalues alone (see ``_eigvalsh``),
     with the same verdict and an empty (D, 0) eigenvector array: no D x D
     eigenvectors, no 2 D^2 workspace, about half the time of ``eigh``.
@@ -466,7 +514,7 @@ def eigendecompose(ham: Hamiltonian, vectors: bool = True) -> SpectralData:
     """
     with _solver_errors():
         if vectors:
-            eigenvalues, eigenvectors = np.linalg.eigh(ham.matrix)
+            eigenvalues, eigenvectors = _eigh(ham.matrix)
         else:
             eigenvalues, eigenvectors = _eigvalsh(ham.matrix), np.empty((ham.dim, 0))
     return _spectral_data(eigenvalues, eigenvectors)

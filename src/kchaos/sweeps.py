@@ -17,7 +17,6 @@ import zlib
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -339,37 +338,41 @@ def _fixed_members(cfg: SweepConfig) -> dict[str, list[tuple[int, np.ndarray]] |
     """The (realization, state) pairs each family runs at every grid point;
     None for the current-basis uniform family, rebuilt at each point.
 
-    The reference spectra are solved one realization at a time, and each is
-    released once its states are taken.  Only realization 0's spectrum at the
-    last reference parameter is kept, so ``border`` and an ``eig_ref`` at the
-    same parameter share one solve; it is released before the point loop.
+    The reference spectra are solved one at a time, and each is released
+    once its states are taken, before the next is solved.  Realization 0's
+    spectrum at one reference parameter gives the states of every family
+    that references it, so ``border`` and an ``eig_ref`` at the same
+    parameter share one solve.
     """
     model = MODELS[cfg.model]
-    reference = lru_cache(maxsize=1)(
-        lambda p: eigendecompose(next(iter(model.hamiltonians(cfg, p))))
-    )
-    members = {}
+    members = dict.fromkeys(fam.label for fam in cfg.families)
+    # the families that take states from realization 0, by reference parameter
+    by_ref: dict[float, list[Family]] = {}
     for fam in cfg.families:
         if fam.kind == "all_up":
-            pairs = [(0, state_all_up(parity_basis(cfg.n_spins, cfg.sector)))]
+            members[fam.label] = [(0, state_all_up(parity_basis(cfg.n_spins, cfg.sector)))]
         elif fam.kind == "random":
             dim = model.check(cfg)
-            pairs = [
+            members[fam.label] = [
                 (0, state_random(dim, derive_seed(cfg.seed, "random-state", i)))
                 for i in range(fam.count)
             ]
-        elif fam.kind == "border":
+        elif fam.kind in ("border", "eig_ref"):
+            by_ref.setdefault(fam.ref_param, []).append(fam)
+    for p, fams in by_ref.items():
+        spec = eigendecompose(next(iter(model.hamiltonians(cfg, p))))
+        for fam in fams:
+            picks = [0] if fam.kind == "border" else select_center_states(spec, fam.count)
+            members[fam.label] = [(0, state_eigenstate(spec, j)) for j in picks]
+        # released before the next reference is solved
+        del spec
+    for fam in cfg.families:
+        if fam.kind == "border":
             # each later realization keeps its ground state only; map binds no
             # H while the next one is built
             rest = _banded_realizations(cfg, 0.0, first=1)
             ground = map(lambda h: state_eigenstate(eigendecompose(h), 0), rest)
-            pairs = [(0, state_eigenstate(reference(0.0), 0)), *enumerate(ground, 1)]
-        elif fam.kind == "eig_ref":
-            spec = reference(fam.ref_param)
-            pairs = [(0, state_eigenstate(spec, j)) for j in select_center_states(spec, fam.count)]
-        else:
-            pairs = None
-        members[fam.label] = pairs
+            members[fam.label] += enumerate(ground, 1)
     return members
 
 
@@ -409,7 +412,8 @@ def _sweep(cfg: SweepConfig, model_name: str) -> SweepTable:
     its H and eigenvectors before the next is built, so its memory does not
     grow with ``realizations``.  Each family's rows stay in realization order.
     Points where any realization is flagged near-degenerate are skipped with
-    a logged warning; no member runs from the flagged realization on.
+    a logged warning; no member runs from the flagged realization on, and
+    the later realizations are solved without eigenvectors.
     """
     if cfg.model != model_name:
         raise ConfigError(f"run_{model_name}_sweep requires model = {model_name}")
@@ -432,11 +436,11 @@ def _sweep(cfg: SweepConfig, model_name: str) -> SweepTable:
         levels, spacings, skip = [], [], False
         rows = {fam.label: [] for fam in cfg.families}
         for r, ham in enumerate(model.hamiltonians(cfg, param)):
-            spec = eigendecompose(ham)
+            # a flagged realization stops the members; the later ones are still
+            # solved, without eigenvectors, for the minimum spacing the warning prints
+            spec = eigendecompose(ham, vectors=not skip)
             levels.append(spec.eigenvalues)
             spacings.append(spec.min_spacing)
-            # a flagged realization stops the members; the later ones are still
-            # solved, for the minimum spacing the warning prints
             skip = skip or (spec.near_degenerate and not cfg.allow_degenerate)
             if not skip:
                 run_members(r, ham, spec, rows)

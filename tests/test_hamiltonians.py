@@ -23,6 +23,7 @@ from kchaos.hamiltonians import (
     _eigvalsh,
     _ising_sector_levels,
     _two_stage_solver,
+    _vectors_solver,
 )
 from kchaos.sweeps import banded_hamiltonian
 from oracles import (
@@ -537,8 +538,9 @@ class TestTwoStageRoute:
             raise OSError(f"cannot load {name}")
 
         monkeypatch.setattr(ctypes, "CDLL", unloadable)
-        # the uncached lookup, which tries every bundled OpenBLAS
+        # the uncached lookups, which try every bundled OpenBLAS
         assert _two_stage_solver.__wrapped__() is None
+        assert _vectors_solver.__wrapped__() is None
 
     @needs_two_stage
     def test_solve_leaves_the_matrix_alone(self, monkeypatch):
@@ -564,6 +566,71 @@ class TestTwoStageRoute:
         monkeypatch.setattr(kchaos.hamiltonians, "TWO_STAGE_MIN_DIM", 0)
         with pytest.raises(NumericalError, match="dsyevd_2stage returned info = -5"):
             _eigvalsh(np.diag([np.nan, 1.0]))
+
+
+needs_vectors_solver = pytest.mark.skipif(
+    _vectors_solver() is None, reason="numpy's BLAS exports no dsyevd"
+)
+
+
+def _eigh_must_not_run(*args, **kwargs):
+    raise AssertionError("np.linalg.eigh ran")
+
+
+class TestVectorsRoute:
+    @needs_vectors_solver
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_ising_sector(10, 0.7, "even"),
+            lambda: build_ising_sector(9, 1.3, "odd"),
+            lambda: build_banded_random(256, 51, 0.1, 3),
+            lambda: build_goe(200, 8),
+        ],
+        ids=["ising-n10-even", "ising-n9-odd", "banded-d256", "goe"],
+    )
+    def test_spectrum_is_numpys_bit_for_bit(self, build, monkeypatch):
+        ham = build()
+        levels, vectors = np.linalg.eigh(ham.matrix)
+        before = ham.matrix.tobytes()
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_must_not_run)
+        spec = eigendecompose(ham)
+        # bytes, so that a zero's sign counts too
+        assert spec.eigenvalues.tobytes() == levels.tobytes()
+        assert spec.eigenvectors.flags.c_contiguous
+        assert spec.eigenvectors.tobytes() == vectors.tobytes()
+        assert not spec.eigenvectors.flags.writeable
+        assert ham.matrix.tobytes() == before
+
+    def test_without_the_symbol_numpy_solves(self, monkeypatch):
+        real_eigh, solved = np.linalg.eigh, []
+
+        def eigh(matrix):
+            solved.append(matrix)
+            return real_eigh(matrix)
+
+        monkeypatch.setattr(kchaos.hamiltonians, "_vectors_solver", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        ham = build_goe(64, 9)
+        spec = eigendecompose(ham)
+        assert len(solved) == 1
+        levels, vectors = real_eigh(ham.matrix)
+        assert spec.eigenvalues.tobytes() == levels.tobytes()
+        assert spec.eigenvectors.tobytes() == vectors.tobytes()
+
+    def test_what_lapack_cannot_read_goes_to_numpy(self, monkeypatch):
+        monkeypatch.setattr(kchaos.hamiltonians, "_vectors_solver", lambda: _must_not_run)
+        with pytest.raises(NumericalError, match="square"):
+            eigendecompose(Hamiltonian(np.zeros((3, 2))))
+        spec = eigendecompose(Hamiltonian(np.diag([2.0, 1.0]).astype(np.float32)))
+        assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
+        assert np.array_equal(np.abs(spec.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
+
+    @needs_vectors_solver
+    def test_lapack_error_is_numerical(self):
+        # LAPACKE refuses a nan entry (info = -5); a Hamiltonian cannot hold one
+        with pytest.raises(NumericalError, match="dsyevd returned info = -5"):
+            eigendecompose(Hamiltonian(np.diag([np.nan, 1.0])))
 
 
 class TestIsingSectorLevels:

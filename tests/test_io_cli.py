@@ -427,6 +427,20 @@ class TestCli:
         assert "dsyevd_2stage returned info = 1" in capsys.readouterr().err
         assert not (tmp_path / "ising_sweep.csv").exists()
 
+    def test_eigenvector_solver_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the sweep's own spectra take the eigenvector route, whose routine
+        # here reports a failure (info != 0)
+        def routine(*args):
+            return 1
+
+        monkeypatch.setattr(kchaos.hamiltonians, "_vectors_solver", lambda: routine)
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_must_not_run)
+        argv = ["ising-sweep", "--n-spins", "4", "--hz-min", "0.5", "--hz-max", "2"]
+        argv += ["--hz-points", "2", "--families", "all_up,uniform", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "dsyevd returned info = 1" in capsys.readouterr().err
+        assert not (tmp_path / "ising_sweep.csv").exists()
+
     def test_scaling_check_degeneracy_keeps_library_text(self, tmp_path, capsys, monkeypatch):
         # scaling-check has no --allow-degenerate, so the message names no flag
         real_eigendecompose = kchaos.cli.eigendecompose
@@ -784,6 +798,7 @@ class TestCli:
         monkeypatch.setattr(np.linalg, "eigh", _eigh_must_not_run)
         monkeypatch.setattr(np.linalg, "eigvalsh", _eigh_must_not_run)
         monkeypatch.setattr("kchaos.hamiltonians._two_stage_solver", _eigh_must_not_run)
+        monkeypatch.setattr("kchaos.hamiltonians._vectors_solver", _eigh_must_not_run)
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert match in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import kchaos.hamiltonians
 import kchaos.perturbation
 from kchaos import (
     GaussianProfile,
@@ -197,11 +198,12 @@ def test_fit_sites_matches_polyfit_oracle():
 def test_experiments_solve_for_eigenvalues_only(tmp_path, monkeypatch):
     # the chains read only the levels, so the commands solve for no eigenvectors
     def eigh_must_not_run(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh ran")
+        raise AssertionError("an eigenvector solve ran")
 
     scaling = ["scaling-check", "--dim", "32", "--seed", "12"]
     assert main(scaling + ["--out", str(tmp_path / "expected")]) == 0
     monkeypatch.setattr(np.linalg, "eigh", eigh_must_not_run)
+    monkeypatch.setattr(kchaos.hamiltonians, "_vectors_solver", lambda: eigh_must_not_run)
     bound = ["bound-sweep", "--model", "banded", "--dim", "32", "--deltas", "0.01,0.05"]
     assert main(bound + ["--out", str(tmp_path)]) == 0
     sweep = np.loadtxt(tmp_path / "bound_sweep.csv", delimiter=",", skiprows=1)

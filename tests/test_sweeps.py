@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -309,12 +310,14 @@ class TestBandedSweep:
     def test_flag_on_a_later_realization_skips_the_point(self, monkeypatch, caplog):
         real_eigendecompose = kchaos.sweeps.eigendecompose
         real_run_member = kchaos.sweeps._run_member
-        # the point's Hamiltonians in solve order, and the realization of every member run
-        solved, ran_on = [], []
+        # the point's Hamiltonians in solve order, whether each solve asked for
+        # eigenvectors, and the realization of every member run
+        solved, asked, ran_on = [], [], []
 
-        def flag_third(ham, *args, **kwargs):
-            spec = real_eigendecompose(ham, *args, **kwargs)
+        def flag_third(ham, vectors=True):
+            spec = real_eigendecompose(ham, vectors=vectors)
             solved.append(ham)
+            asked.append(vectors)
             if len(solved) == 3:
                 spec = dataclasses.replace(spec, near_degenerate=True)
             if len(solved) == 4:
@@ -340,6 +343,37 @@ class TestBandedSweep:
         assert "skipping k=0.1: near-degenerate spectrum (min spacing 1.000e-30)" in caplog.messages
         # two random members and one uniform on realization 0, one uniform on 1
         assert ran_on == [0, 0, 0, 1]
+        # the realization after the flagged one is solved for its levels alone
+        assert asked == [True, True, True, False]
+
+    @pytest.mark.parametrize(
+        "cfg, solves",
+        [
+            (small_banded_cfg(realizations=3), 3),
+            (
+                small_ising_cfg(
+                    families=kchaos.sweeps.parse_families("ising", "eig_ref@4,all_up,eig_ref@0", 4, 3)
+                ),
+                2,
+            ),
+        ],
+        ids=["banded-border-eig-ref", "ising-two-references"],
+    )
+    def test_reference_spectra_die_before_the_next_solve(self, cfg, solves, monkeypatch):
+        # border and eig_ref@0 share realization 0's k = 0 solve; every other
+        # reference is solved once, with no earlier reference spectrum alive
+        real_eigendecompose = kchaos.sweeps.eigendecompose
+        earlier = []
+
+        def tracked(ham, *args, **kwargs):
+            assert all(ref() is None for ref in earlier)
+            spec = real_eigendecompose(ham, *args, **kwargs)
+            earlier.append(weakref.ref(spec))
+            return spec
+
+        monkeypatch.setattr(kchaos.sweeps, "eigendecompose", tracked)
+        kchaos.sweeps._fixed_members(cfg)
+        assert len(earlier) == solves
 
 
 class TestPostprocess:
